@@ -206,41 +206,4 @@ BENCHMARK(BM_Clk100Kicks)
     ->ArgNames({"n", "ref"})
     ->Unit(benchmark::kMillisecond);
 
-// Speculative kick engine scaling: 100 CLK kicks from the optimized tour
-// with w worker threads (w=0 is the sequential fast path — the baseline of
-// bench.sh's spec_kicks_vs_seq entry). kicks_per_sec counts resolved kicks
-// (committed + rejected); spec_evals/spec_conflicts expose how much
-// speculative work was performed and how much aborted on ledger overlap,
-// which together with the host's CPU count explains the measured curve.
-void BM_ClkSpecKicks(benchmark::State& state) {
-  Fixture& f = fixtureOf(static_cast<int>(state.range(0)));
-  ClkOptions opt;
-  opt.maxKicks = 100;
-  opt.speculativeWorkers = static_cast<int>(state.range(1));
-  Rng rng(7);
-  std::int64_t kicks = 0;
-  std::int64_t evals = 0;
-  std::int64_t conflicts = 0;
-  for (auto _ : state) {
-    Tour t = f.opt;
-    LkWorkspace ws;
-    const ClkResult res = chainedLinKernighan(t, f.cand, rng, ws, opt);
-    kicks += res.kicks;
-    evals += res.speculated;
-    conflicts += res.specConflicts;
-  }
-  state.counters["kicks_per_sec"] =
-      benchmark::Counter(double(kicks), benchmark::Counter::kIsRate);
-  state.counters["spec_evals"] = benchmark::Counter(double(evals));
-  state.counters["spec_conflicts"] = benchmark::Counter(double(conflicts));
-}
-// UseRealTime: with workers the coordinator sleeps on the round barrier,
-// so main-thread CPU time would flatter the rate; wall time is the honest
-// denominator for a throughput claim.
-BENCHMARK(BM_ClkSpecKicks)
-    ->ArgsProduct({{10000, 100000}, {0, 1, 2, 4, 8}})
-    ->ArgNames({"n", "w"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace

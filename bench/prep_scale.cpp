@@ -1,8 +1,8 @@
 // Preprocessing-pipeline scaling harness: times every phase of
 // InstanceContext::build (kd-tree, candidate CSR, construction) at large n
-// across prep-thread counts, plus the Hilbert-partitioned construction arm
-// and the warm ContextCache hit path. Emits one JSON object per line;
-// scripts/bench.sh merges them into BENCH_lk.json under "prep_scale".
+// across prep-thread counts, plus the warm ContextCache hit path. Emits one
+// JSON object per line; scripts/bench.sh merges them into BENCH_lk.json
+// under "prep_scale".
 //
 //   prep_scale [--max-n N] [--candidates K] [--reps R]
 //
@@ -86,33 +86,6 @@ int main(int argc, char** argv) {
       o.field("cand_ms", best.candMs);
       o.field("construct_ms", best.constructMs);
       o.field("total_ms", best.totalMs);
-      emit(o);
-    }
-
-    // Partitioned-construction arm: the only phase the serial QB keeps
-    // sequential. Changes the tour (recorded so quality loss is visible).
-    {
-      PreprocessParams serial;
-      serial.candidateK = k;
-      const auto base = InstanceContext::build(inst, serial);
-      PreprocessParams part = serial;
-      part.partitionShards = 8;
-      part.prepThreads = 8;
-      const auto ctx = InstanceContext::build(inst, part);
-      obs::JsonObject o;
-      o.field("bench", "prep_scale_partitioned");
-      o.field("n", n);
-      o.field("threads", 8);
-      o.field("shards", 8);
-      o.field("construct_ms", ctx->buildStats().constructMs);
-      o.field("serial_construct_ms", base->buildStats().constructMs);
-      o.field("tour_length", ctx->constructionLength());
-      o.field("serial_tour_length", base->constructionLength());
-      o.field("tour_excess_pct",
-              (double(ctx->constructionLength()) /
-                   double(base->constructionLength()) -
-               1.0) *
-                  100.0);
       emit(o);
     }
 

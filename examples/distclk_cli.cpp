@@ -12,15 +12,10 @@
 //                           lkh | multilevel | tourmerge   (default dist)
 //     --seconds S           time budget (per node for dist*)  (default 2)
 //     --kick K              Random|Geometric|Close|Random-walk
-//     --spec-workers W      evaluate kicks speculatively on W worker
-//                           threads inside each CLK call (clk and dist*;
-//                           default 0 = sequential pinned loop)
 //     --candidates K        candidate list size (default 10)
 //     --quadrant            use quadrant candidate lists
 //     --prep-threads T      preprocessing build parallelism (default 1;
 //                           byte-identical output for any T)
-//     --prep-partition S    Hilbert-partitioned Quick-Borůvka construction
-//                           over S shards (default 0 = serial QB)
 //     --prep-only           build the preprocessing context, print the
 //                           phase times, and exit (pipeline smoke/bench)
 //     --seed S              solver seed (default 1)
@@ -152,18 +147,12 @@ int main(int argc, char** argv) {
     ClkOptions opt;
     opt.kick = kick;
     opt.timeLimitSeconds = seconds;
-    opt.speculativeWorkers = args.getInt("spec-workers", 0);
     const ClkResult res = chainedLinKernighan(tour, cand, rng, opt);
     bestOrder = tour.orderVector();
     std::printf("result   : %lld (%lld kicks, %lld improvements)\n",
                 static_cast<long long>(res.length),
                 static_cast<long long>(res.kicks),
                 static_cast<long long>(res.improvements));
-    if (res.speculated > 0)
-      std::printf("spec     : %lld evaluated, %lld committed, %lld conflicts\n",
-                  static_cast<long long>(res.speculated),
-                  static_cast<long long>(res.specCommitted),
-                  static_cast<long long>(res.specConflicts));
   } else if (algo == "dist" || algo == "dist-threads") {
     RunConfig cfg = runConfigFromArgs(args, inst);
     if (algo == "dist-threads") cfg.runtime = RuntimeKind::kThreads;

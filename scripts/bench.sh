@@ -3,8 +3,8 @@
 # binaries, runs the micro suites with JSON output, re-runs the
 # kernel-vs-reference determinism check, and merges everything into
 # BENCH_lk.json at the repo root (per-benchmark ns/op, steps/sec, derived
-# speedup ratios, speculative-engine scaling, warm-vs-cold job setup
-# through the solver service, git describe).
+# speedup ratios, warm-vs-cold job setup through the solver service,
+# preprocessing scaling, git describe).
 #
 # Environment knobs:
 #   BUILD_DIR  build directory (default build-bench, CMAKE_BUILD_TYPE=Release)
@@ -86,9 +86,9 @@ done
   --workers 1 --out "$out/serve_jobs.jsonl" > /dev/null
 
 # Preprocessing-pipeline scaling: per-phase build() wall times at large n
-# across prep-thread counts, the partitioned-construction arm, and the
-# warm ContextCache hit. The million-city arm self-gates on MemAvailable
-# (a {"skipped":...} record, not silence). PREP_MAX_N caps the sweep.
+# across prep-thread counts and the warm ContextCache hit. The million-city
+# arm self-gates on MemAvailable (a {"skipped":...} record, not silence).
+# PREP_MAX_N caps the sweep.
 echo "== preprocessing scaling (prep_scale)"
 "$BUILD_DIR/bench/prep_scale" --max-n "${PREP_MAX_N:-1000000}" \
   --reps "${PREP_REPS:-3}" | tee "$out/prep_scale.jsonl"
@@ -133,8 +133,7 @@ for suite in ("micro_tsp", "micro_lk", "micro_tour"):
             "time_ns": b["real_time"] * scale,
             "cpu_ns": b["cpu_time"] * scale,
         }
-        for counter in ("steps_per_sec", "kicks_per_sec", "items_per_second",
-                        "spec_evals", "spec_conflicts"):
+        for counter in ("steps_per_sec", "kicks_per_sec", "items_per_second"):
             if counter in b:
                 entry[counter] = b[counter]
         benchmarks.append(entry)
@@ -243,62 +242,6 @@ if os.path.exists(os.path.join(out, "dist_untraced.txt")):
         if untraced and traced else None,
     }
 
-# Speculative kick engine scaling (BM_ClkSpecKicks): measured kicks/sec of
-# each worker count against the sequential fast path (the w:0 arm), plus
-# the conflict rate (aborted evaluations / total evaluations). Wall-clock
-# scaling needs >= w free cores; "cpus" records what this host offered so
-# a flat measured curve on a starved host is self-explaining. The
-# modeled_full_parallel_speedup is a projection from measured quantities —
-# w * (1 - conflict_rate) * rate(w:1) / rate(seq), i.e. per-evaluation
-# engine cost and commit fraction as measured, perfect worker overlap
-# assumed — and is labeled as a model, never reported as a measurement.
-def spec_arm(n, w):
-    # BM_ClkSpecKicks uses UseRealTime() (its rate must be wall-clock, not
-    # coordinator CPU time), which suffixes the benchmark name.
-    seq = by_name.get(f"BM_ClkSpecKicks/n:{n}/w:0/real_time")
-    arm = by_name.get(f"BM_ClkSpecKicks/n:{n}/w:{w}/real_time")
-    if not seq or not arm or not seq.get("kicks_per_sec"):
-        return None
-    evals = arm.get("spec_evals") or 0.0
-    conflicts = arm.get("spec_conflicts") or 0.0
-    conflict_rate = round(conflicts / evals, 4) if evals else None
-    one = by_name.get(f"BM_ClkSpecKicks/n:{n}/w:1/real_time")
-    modeled = None
-    if one and one.get("kicks_per_sec") and conflict_rate is not None:
-        modeled = round(w * (1.0 - conflict_rate)
-                        * one["kicks_per_sec"] / seq["kicks_per_sec"], 3)
-    return {
-        "workers": w,
-        "kicks_per_sec": arm.get("kicks_per_sec"),
-        "measured_speedup_vs_seq":
-            round(arm["kicks_per_sec"] / seq["kicks_per_sec"], 3)
-            if arm.get("kicks_per_sec") else None,
-        "conflict_rate": conflict_rate,
-        "modeled_full_parallel_speedup": modeled,
-    }
-
-
-spec_kicks = {}
-for n in (10000, 100000):
-    seq = by_name.get(f"BM_ClkSpecKicks/n:{n}/w:0/real_time")
-    arms = [a for a in (spec_arm(n, w) for w in (1, 2, 4, 8)) if a]
-    if seq and arms:
-        spec_kicks[f"n{n}"] = {
-            "seq_kicks_per_sec": seq.get("kicks_per_sec"),
-            "arms": arms,
-        }
-
-spec_section = None
-if spec_kicks:
-    spec_section = {
-        "cpus": os.cpu_count(),
-        "note": ("measured ratios are wall-clock on this host; "
-                 "modeled_full_parallel_speedup = w * (1 - conflict_rate) * "
-                 "rate(w:1)/rate(seq), a projection for >= w free cores "
-                 "from measured per-evaluation cost and commit fraction"),
-        **spec_kicks,
-    }
-
 # Warm-vs-cold job setup through the solver service: identical jobs split
 # by their cache_hit flag. Warm setup is the ContextCache lookup; cold
 # setup is the full preprocessing build (candidate lists + construction).
@@ -331,7 +274,7 @@ if os.path.exists(serve_jobs):
 # Preprocessing-pipeline scaling: group the prep_scale JSONL by n, derive
 # end-to-end and per-phase speedups vs the 1-thread arm. "cpus" records
 # what the host offered: on a starved host the measured ratios go flat and
-# the record is self-explaining (same labeling as spec_kicks_vs_seq).
+# the record is self-explaining.
 prep_scale = None
 prep_path = os.path.join(out, "prep_scale.jsonl")
 if os.path.exists(prep_path):
@@ -347,11 +290,6 @@ if os.path.exists(prep_path):
             ent["arms"].append({k: r[k] for k in
                                 ("threads", "kdtree_ms", "cand_ms",
                                  "construct_ms", "total_ms")})
-        elif r.get("bench") == "prep_scale_partitioned":
-            ent["partitioned_construct"] = {
-                k: r[k] for k in ("shards", "construct_ms",
-                                  "serial_construct_ms", "tour_length",
-                                  "serial_tour_length", "tour_excess_pct")}
         elif r.get("bench") == "prep_scale_warm":
             ent["warm_cache_hit_ms"] = r.get("hit_ms")
     for ent in by_n.values():
@@ -371,14 +309,13 @@ if os.path.exists(prep_path):
         }
 
 result = {
-    "schema": "distclk-bench-lk-v5",
+    "schema": "distclk-bench-lk-v6",
     "git": os.environ.get("GIT_DESCRIBE", "unknown"),
     "benchmark_min_time": float(os.environ.get("MIN_TIME", "0.05")),
     "benchmarks": benchmarks,
     "derived_speedups": derived,
     "determinism": determinism,
     "telemetry_overhead": telemetry,
-    "spec_kicks_vs_seq": spec_section,
     "jobs_warm_vs_cold": jobs_warm_vs_cold,
     "prep_scale": prep_scale,
     "vs_seed": vs_seed,

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "tsp/kdtree.h"
-#include "util/task_pool.h"
 
 namespace distclk {
 
@@ -398,87 +397,6 @@ std::vector<int> spaceFillingTour(const Instance& inst) {
   std::vector<int> order(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
   return order;
-}
-
-std::vector<int> partitionedQuickBoruvkaTour(const Instance& inst,
-                                             const CandidateLists& cand,
-                                             int shards, TaskPool* pool) {
-  const int n = inst.n();
-  if (!inst.hasCoords() || shards <= 1 || n <= shards)
-    return quickBoruvkaTour(inst, cand);
-
-  // Hilbert-order blocks: contiguous curve ranges make shards spatially
-  // compact, so almost every candidate edge is intra-shard and the
-  // cross-shard stitch only has to close O(shards) seams.
-  const std::vector<int> curve = spaceFillingTour(inst);
-  std::vector<int> shardOf(static_cast<std::size_t>(n), 0);
-  std::vector<int> blockBegin(static_cast<std::size_t>(shards) + 1, 0);
-  const int per = (n + shards - 1) / shards;
-  for (int s = 0; s <= shards; ++s)
-    blockBegin[std::size_t(s)] = std::min(n, s * per);
-  for (int s = 0; s < shards; ++s)
-    for (int i = blockBegin[std::size_t(s)]; i < blockBegin[std::size_t(s) + 1];
-         ++i)
-      shardOf[std::size_t(curve[std::size_t(i)])] = s;
-
-  // Per-shard Quick-Borůvka edge selection over local ids. Every shard
-  // writes only its own edge list; the result is a function of the shard
-  // partition alone, never of which worker runs which shard.
-  std::vector<std::vector<std::array<int, 2>>> shardEdges(
-      static_cast<std::size_t>(shards));
-  TaskPool::parallelForShards(pool, shards, shards, [&](int sBegin, int sEnd) {
-    for (int s = sBegin; s < sEnd; ++s) {
-      const int lo = blockBegin[std::size_t(s)];
-      const int hi = blockBegin[std::size_t(s) + 1];
-      const int m = hi - lo;
-      // Local process order: the same coordinate sort Quick-Borůvka uses.
-      std::vector<int> proc(curve.begin() + lo, curve.begin() + hi);
-      std::sort(proc.begin(), proc.end(), [&](int a, int b) {
-        const Point& pa = inst.point(a);
-        const Point& pb = inst.point(b);
-        if (pa.x != pb.x) return pa.x < pb.x;
-        if (pa.y != pb.y) return pa.y < pb.y;
-        return a < b;
-      });
-      std::vector<int> localId(static_cast<std::size_t>(n), -1);
-      for (int i = 0; i < m; ++i)
-        localId[std::size_t(curve[std::size_t(lo + i)])] = i;
-      PartialTour pt(m);
-      auto& edges = shardEdges[std::size_t(s)];
-      for (int pass = 0; pass < 2 && pt.edges < m - 1; ++pass) {
-        for (int c : proc) {
-          if (pt.edges == m - 1) break;
-          const int lc = localId[std::size_t(c)];
-          if (pt.degree[std::size_t(lc)] >= 2) continue;
-          int best = -1;
-          std::int64_t bestDist = std::numeric_limits<std::int64_t>::max();
-          const auto cs = cand.of(c);
-          const auto ds = cand.distOf(c);
-          for (std::size_t i = 0; i < cs.size(); ++i) {
-            const int o = cs[i];
-            if (shardOf[std::size_t(o)] != s) continue;  // intra-shard only
-            if (!pt.canAdd(lc, localId[std::size_t(o)])) continue;
-            if (ds[i] < bestDist) {
-              bestDist = ds[i];
-              best = o;
-            }
-          }
-          if (best != -1) {
-            pt.add(lc, localId[std::size_t(best)]);
-            edges.push_back({c, best});
-          }
-        }
-      }
-    }
-  });
-
-  // Merge the (disjoint, intra-shard) edge sets into one partial tour and
-  // stitch the remaining fragments across shard seams.
-  PartialTour pt(n);
-  for (const auto& edges : shardEdges)
-    for (const auto& e : edges)
-      if (pt.canAdd(e[0], e[1])) pt.add(e[0], e[1]);
-  return stitchFragments(inst, pt);
 }
 
 }  // namespace distclk

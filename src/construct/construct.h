@@ -13,8 +13,6 @@
 
 namespace distclk {
 
-class TaskPool;
-
 /// Uniformly random permutation.
 std::vector<int> randomTour(const Instance& inst, Rng& rng);
 
@@ -37,21 +35,6 @@ std::vector<int> quickBoruvkaTour(const Instance& inst,
 /// Hilbert space-filling-curve order (geometric instances only; throws for
 /// explicit matrices). O(n log n), surprisingly good starts for large n.
 std::vector<int> spaceFillingTour(const Instance& inst);
-
-/// Space-filling-curve-partitioned Quick-Borůvka for very large instances:
-/// cities are split into `shards` contiguous Hilbert-order blocks, each
-/// block runs Quick-Borůvka edge selection restricted to intra-block
-/// candidate edges (concurrently on `pool` when given), and the per-block
-/// fragments are stitched across shard boundaries by the shared
-/// nearest-endpoint pass. The tour depends on `shards` but NEVER on `pool`
-/// (shard boundaries and per-shard selection are schedule-independent), so
-/// PreprocessParams keys the cache on shards and not on thread count.
-/// shards <= 1 (or an instance without coordinates) is exactly
-/// quickBoruvkaTour.
-std::vector<int> partitionedQuickBoruvkaTour(const Instance& inst,
-                                             const CandidateLists& cand,
-                                             int shards,
-                                             TaskPool* pool = nullptr);
 
 /// Christofides-style construction (§2.1 contrasts ABCC's Quick-Borůvka
 /// against HK-Christofides): minimum spanning tree + matching on the

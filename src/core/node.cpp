@@ -27,9 +27,6 @@ NodeMetrics NodeMetrics::attach(obs::MetricsRegistry& registry) {
       obs::MetricsRegistry::exponentialBounds(1e-4, 4.0, 10));
   m.restartDepth = registry.histogram(
       "node.restart_depth", obs::MetricsRegistry::linearBounds(64.0, 8));
-  m.specSpeculated = registry.counter("node.spec_speculated");
-  m.specCommitted = registry.counter("node.spec_committed");
-  m.specConflicts = registry.counter("node.spec_conflicts");
   return m;
 }
 
@@ -61,7 +58,6 @@ DistNode::StepOutcome DistNode::initialStep() {
   co.lk = params_.lk;
   co.maxKicks = innerKicks();
   co.targetLength = params_.targetLength;
-  co.speculativeWorkers = params_.speculativeWorkers;
   Tour s = sPrev_;
   const ClkResult clk = chainedLinKernighan(s, cand_, rng_, ws_, co);
   sBest_ = s;
@@ -108,7 +104,6 @@ DistNode::ComputePhase DistNode::compute() {
   co.lk = params_.lk;
   co.maxKicks = innerKicks();
   co.targetLength = params_.targetLength;
-  co.speculativeWorkers = params_.speculativeWorkers;
   const ClkResult clk = chainedLinKernighan(phase.s, cand_, rng_, ws_, co);
   phase.modelCost += clk.flips + clk.undoneFlips + clk.kicks;
   phase.measuredSeconds = timer.seconds();
@@ -120,11 +115,6 @@ DistNode::ComputePhase DistNode::compute() {
     reg.add(metrics_.lkUndoneFlips, clk.undoneFlips);
     reg.add(metrics_.lkKicks, clk.kicks);
     reg.add(metrics_.clkRollbacks, clk.rollbacks);
-    if (clk.speculated > 0) {
-      reg.add(metrics_.specSpeculated, clk.speculated);
-      reg.add(metrics_.specCommitted, clk.specCommitted);
-      reg.add(metrics_.specConflicts, clk.specConflicts);
-    }
     if (phase.perturbations > 0)
       reg.add(metrics_.perturbations, phase.perturbations);
     if (phase.restarted) {

@@ -37,10 +37,6 @@ struct NodeMetrics {
   obs::MetricId toursReceived;    ///< kTour messages considered (counter)
   obs::MetricId computeSeconds;   ///< wall time of compute phases (histogram)
   obs::MetricId restartDepth;     ///< NumNoImprovements at restart (histogram)
-  obs::MetricId specSpeculated;   ///< speculative kick evaluations (counter)
-  obs::MetricId specCommitted;    ///< speculative winners committed (counter)
-  obs::MetricId specConflicts;    ///< speculative evaluations aborted on
-                                  ///< ledger conflict and re-dispatched
 
   /// Registers all node metrics on `registry` (idempotent by name).
   static NodeMetrics attach(obs::MetricsRegistry& registry);
@@ -62,9 +58,6 @@ struct DistParams {
   bool usePerturbation = true;
   /// Known optimum (or calibrated target); termination criterion 1.
   std::int64_t targetLength = -1;
-  /// > 0: the inner CLK evaluates kicks speculatively on that many worker
-  /// threads (lk/spec_kicks.h). 0 keeps the sequential pinned loop.
-  int speculativeWorkers = 0;
 };
 
 class DistNode {

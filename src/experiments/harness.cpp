@@ -165,7 +165,6 @@ RunConfig runConfigFromArgs(const Args& args, const Instance& inst) {
   cfg.node = scaledNodeParams(inst);
   cfg.node.clkKick =
       kickStrategyFromString(args.getString("kick", "Random-walk"));
-  cfg.node.speculativeWorkers = args.getInt("spec-workers", 0);
   cfg.timeLimitPerNode = args.getDouble("seconds", 2.0);
   cfg.latencySeconds = args.getDouble("latency", cfg.latencySeconds);
   cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
@@ -191,7 +190,6 @@ PreprocessParams preprocessParamsFromArgs(const Args& args) {
   p.candidateK = args.getInt("candidates", p.candidateK);
   if (args.has("quadrant")) p.kind = CandidateLists::Kind::kQuadrant;
   p.prepThreads = args.getInt("prep-threads", p.prepThreads);
-  p.partitionShards = args.getInt("prep-partition", p.partitionShards);
   return p;
 }
 

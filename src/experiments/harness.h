@@ -113,12 +113,9 @@ RunConfig runConfigFromArgs(const Args& args, const Instance& inst);
 ///   --candidates K      candidate-list size (default 10)
 ///   --quadrant          quadrant-neighbor candidates instead of nearest
 ///   --prep-threads T    preprocessing build parallelism (kd-tree,
-///                       candidate shards, partitioned construction);
-///                       default 1 = the exact serial path, any T produces
-///                       byte-identical preprocessing (DESIGN.md §13)
-///   --prep-partition S  construct with the Hilbert-partitioned
-///                       Quick-Borůvka over S shards (changes the
-///                       construction tour; default 0 = serial QB)
+///                       candidate shards); default 1 = the exact serial
+///                       path, any T produces byte-identical
+///                       preprocessing (DESIGN.md §13)
 PreprocessParams preprocessParamsFromArgs(const Args& args);
 
 /// THE per-instance preprocessing build path for drivers that own their

@@ -1,9 +1,7 @@
 #include "lk/chained_lk.h"
 
-#include <stdexcept>
 #include <vector>
 
-#include "lk/spec_kicks.h"
 #include "util/timer.h"
 
 namespace distclk {
@@ -126,13 +124,6 @@ template <typename TourT>
 ClkResult chainedLkImpl(TourT& tour, const CandidateLists& cand, Rng& rng,
                         const ClkOptions& opt,
                         const AnytimeCallback& onImprove, LkWorkspace& ws) {
-  if (opt.speculativeWorkers > 0) {
-    if (opt.referenceKickPath)
-      throw std::invalid_argument(
-          "ClkOptions: referenceKickPath and speculativeWorkers are mutually "
-          "exclusive");
-    return chainedLinKernighanSpeculative(tour, cand, rng, ws, opt, onImprove);
-  }
   if (opt.referenceKickPath)
     return clkReferenceImpl(tour, cand, rng, opt, onImprove);
   return clkFastImpl(tour, cand, rng, opt, onImprove, ws);

@@ -33,10 +33,6 @@ struct ClkOptions {
   /// loop. Trajectories are bit-identical either way; this exists so parity
   /// tests and benchmarks can measure the copy-based path head-to-head.
   bool referenceKickPath = false;
-  /// > 0: evaluate kicks speculatively on that many worker threads (see
-  /// lk/spec_kicks.h). 0 (the default) keeps the sequential determinism-
-  /// pinned loop; mutually exclusive with referenceKickPath.
-  int speculativeWorkers = 0;
 };
 
 struct ClkResult {
@@ -55,14 +51,6 @@ struct ClkResult {
   /// reversals are not counted in flips/undoneFlips — the modeled-cost
   /// proxy stays identical across both paths.
   std::int64_t rollbacks = 0;
-  /// Speculation telemetry (zero on the sequential paths). Every
-  /// speculative evaluation resolves exactly one way, so
-  /// speculated == specCommitted + rollbacks + specConflicts and
-  /// kicks == specCommitted + rollbacks (conflicted evaluations are
-  /// re-dispatched, not consumed from the kick budget).
-  std::int64_t speculated = 0;     ///< kick+repair evaluations performed
-  std::int64_t specCommitted = 0;  ///< winners replayed onto the master
-  std::int64_t specConflicts = 0;  ///< aborted on ledger overlap, re-queued
   double seconds = 0.0;
   bool hitTarget = false;
 };

@@ -133,12 +133,11 @@ void prepareKick(TourT& tour, KickStrategy strategy,
   }
 }
 
-/// Flip-token double bridge shared by applyKickCities(Tour/BigTour): sort
-/// the cut cities in cyclic tour order (anchor = cities[0]) and recombine
-/// the segments A C B D via three recorded path reversals. Identical tour
-/// mutation to the BigTour workspace kick.
-template <typename TourT>
-void applyKickCitiesImpl(TourT& tour, const std::array<int, 4>& cities,
+/// Flip-token double bridge behind applyKickCities and the BigTour
+/// workspace kick: sort the cut cities in cyclic tour order (anchor =
+/// cities[0]) and recombine the segments A C B D via three recorded path
+/// reversals.
+void applyKickCitiesImpl(BigTour& tour, const std::array<int, 4>& cities,
                          LkWorkspace& ws) {
   if (tour.n() < 8)
     throw std::invalid_argument(
@@ -157,7 +156,7 @@ void applyKickCitiesImpl(TourT& tour, const std::array<int, 4>& cities,
   const int b2 = q[1];
   const int c1 = tour.next(q[1]);
   const int c2 = q[2];
-  auto record = [&](typename TourT::FlipToken token) {
+  auto record = [&](BigTour::FlipToken token) {
     ws.undoLog.push_back({token.first, token.second});
   };
   record(tour.flipForward(b1, c2));
@@ -241,11 +240,6 @@ void applyKick(BigTour& tour, KickStrategy strategy,
       tour,
       {ws.kickCities[0], ws.kickCities[1], ws.kickCities[2], ws.kickCities[3]},
       ws);
-}
-
-void applyKickCities(Tour& tour, const std::array<int, 4>& cities,
-                     LkWorkspace& ws) {
-  applyKickCitiesImpl(tour, cities, ws);
 }
 
 void applyKickCities(BigTour& tour, const std::array<int, 4>& cities,

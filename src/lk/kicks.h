@@ -73,19 +73,14 @@ void applyKick(BigTour& tour, KickStrategy strategy,
                const CandidateLists& cand, Rng& rng, const KickOptions& opt,
                LkWorkspace& ws);
 
-/// Kick with caller-supplied cut cities, realized rotation-free as (up to)
-/// three recorded path reversals — the construction the BigTour workspace
-/// kick uses — on either tour representation. Because the whole kick lives
-/// in ws.undoLog as flip tokens, a committed kick+repair can be replayed on
-/// another tour in the same state from its token stream alone; this is the
-/// primitive of the speculative engine (the coordinator pre-draws the
-/// selections, workers apply them). Consumes no RNG; fills ws.dirty with
-/// the cut-edge endpoints. The BigTour applyKick above is selection +
-/// applyKickCities; the array Tour's applyKick keeps its rotation-based
-/// construction (a different — equally legitimate — double bridge on the
-/// same cities; see tests/test_big_tour.cpp).
-void applyKickCities(Tour& tour, const std::array<int, 4>& cities,
-                     LkWorkspace& ws);
+/// BigTour kick with caller-supplied cut cities, realized rotation-free as
+/// (up to) three recorded path reversals — the construction the BigTour
+/// workspace kick uses. The whole kick lives in ws.undoLog as flip tokens,
+/// so rollbackKick rewinds it LIFO with the repair flips. Consumes no RNG;
+/// fills ws.dirty with the cut-edge endpoints. The BigTour applyKick above
+/// is selection + applyKickCities; the array Tour's applyKick keeps its
+/// rotation-based construction (a different — equally legitimate — double
+/// bridge on the same cities; see tests/test_big_tour.cpp).
 void applyKickCities(BigTour& tour, const std::array<int, 4>& cities,
                      LkWorkspace& ws);
 

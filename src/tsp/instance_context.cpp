@@ -44,11 +44,8 @@ std::string PreprocessParams::cacheKey() const {
     os << ";hk=" << heldKarpOptions.iterations << ","
        << heldKarpOptions.exactLimit << "," << heldKarpOptions.candidateK;
   }
-  // partitionShards changes the construction tour, so it splits the cache;
   // prepThreads only changes the build schedule (byte-identical output)
-  // and is intentionally absent. Appended conditionally so pre-existing
-  // keys (and the fixtures that pin them) are unchanged at the default.
-  if (partitionShards > 0) os << ";part=" << partitionShards;
+  // and is intentionally absent.
   return os.str();
 }
 
@@ -101,11 +98,7 @@ std::shared_ptr<const InstanceContext> InstanceContext::build(
   }
   {
     const Timer t;
-    ctx->constructionOrder_ =
-        params.partitionShards > 0
-            ? partitionedQuickBoruvkaTour(*ctx->inst_, *ctx->cand_,
-                                          params.partitionShards, pp)
-            : quickBoruvkaTour(*ctx->inst_, *ctx->cand_);
+    ctx->constructionOrder_ = quickBoruvkaTour(*ctx->inst_, *ctx->cand_);
     ctx->constructionLength_ = ctx->inst_->tourLength(ctx->constructionOrder_);
     stats.constructMs = t.millis();
   }

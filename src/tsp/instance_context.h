@@ -41,16 +41,11 @@ struct PreprocessParams {
   bool heldKarp = false;
   HeldKarpOptions heldKarpOptions;
   /// Build-time parallelism for the preprocessing pipeline (kd-tree build,
-  /// candidate shards, partitioned construction). 1 = the exact serial
-  /// path. Deliberately EXCLUDED from cacheKey(): every thread count
-  /// produces byte-identical preprocessing output (DESIGN.md §13), so
-  /// contexts built at different prepThreads are interchangeable.
+  /// candidate shards). 1 = the exact serial path. Deliberately EXCLUDED
+  /// from cacheKey(): every thread count produces byte-identical
+  /// preprocessing output (DESIGN.md §13), so contexts built at different
+  /// prepThreads are interchangeable.
   int prepThreads = 1;
-  /// > 0 switches the construction tour to partitionedQuickBoruvkaTour
-  /// with that many Hilbert-order shards. Changes the construction TOUR
-  /// (not just its schedule), so it IS part of cacheKey(). 0 = the serial
-  /// determinism-pinned quickBoruvkaTour.
-  int partitionShards = 0;
 
   /// Canonical text form; equal strings == interchangeable preprocessing.
   std::string cacheKey() const;

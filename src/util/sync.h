@@ -65,7 +65,7 @@
 // Escape hatch. Its use is banned outside util/sync.h (tier-1 greps for
 // it); code that genuinely cannot express its discipline to the analysis
 // leaves the fields unannotated and documents the ordering argument
-// instead (see lk/spec_kicks.cpp's round barrier).
+// instead.
 #define DISTCLK_NO_THREAD_SAFETY_ANALYSIS \
   DISTCLK_TSA_ATTR(no_thread_safety_analysis)
 
@@ -92,7 +92,6 @@ enum class LockRank : int {
   kJobQueue = 20,        ///< svc/job_queue.h     JobQueue::mu_
   kContextCache = 30,    ///< tsp/instance_context.h ContextCache::mu_
   kPrepPool = 35,        ///< util/task_pool.h    TaskPool::mu_
-  kSpecEngine = 40,      ///< lk/spec_kicks.cpp   SpecEngine::mu_
   kHarnessCache = 45,    ///< experiments/harness.cpp HK-bound memo
   kJobProgress = 50,     ///< svc/solver_pool.cpp per-job onBest dedup
   kServeOut = 52,        ///< tools/distclk_serve.cpp response stream

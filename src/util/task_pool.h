@@ -1,10 +1,10 @@
 // Small bounded fork-join pool for the preprocessing pipeline (parallel
-// kd-tree build, sharded candidate-list construction, partitioned
-// Quick-Borůvka). NOT a general executor: one pool lives for the duration
-// of one InstanceContext::build() and is destroyed afterwards, tasks must
-// not block on each other, and the pool's only synchronization is its own
-// queue mutex — task bodies write disjoint output slices, so the results
-// are a pure function of the task set, never of the worker schedule.
+// kd-tree build, sharded candidate-list construction). NOT a general
+// executor: one pool lives for the duration of one InstanceContext::build()
+// and is destroyed afterwards, tasks must not block on each other, and the
+// pool's only synchronization is its own queue mutex — task bodies write
+// disjoint output slices, so the results are a pure function of the task
+// set, never of the worker schedule.
 //
 // Determinism contract (DESIGN.md §13): callers split work into fixed
 // shards (independent of worker count) and every shard writes only its own

@@ -10,7 +10,6 @@
 #include "core/runtime.h"
 #include "lk/chained_lk.h"
 #include "lk/lk_workspace.h"
-#include "lk/spec_kicks.h"
 #include "tsp/big_tour.h"
 #include "tsp/gen.h"
 #include "tsp/neighbors.h"
@@ -153,48 +152,6 @@ TEST(Audit, LkWorkspaceAuditCatchesLeftoverUndoLog) {
     ws.auditUndoEmpty("test:leftover-undo");
   };
   EXPECT_DEATH(leftoverAndAudit(), "LkWorkspace audit failed");
-}
-
-TEST(Audit, SpeculativeEngineSurvivesMultiWorkerRun) {
-  const Instance inst = uniformSquare("audit-spec", 200, 47);
-  CandidateLists cand(inst, 8);
-  Tour tour(inst);
-  Rng rng(37);
-  LkWorkspace ws;
-  ClkOptions opt;
-  opt.maxKicks = 40;
-  opt.speculativeWorkers = 3;
-  // Under -DDISTCLK_AUDIT=ON every commit re-audits the conflict ledger
-  // (cross-group disjointness) and the replayed master length, and every
-  // worker rollback audits its undo log empty.
-  chainedLinKernighan(tour, cand, rng, ws, opt);
-  EXPECT_TRUE(tour.valid());
-  ws.auditCheck("test:post-spec");
-  ws.auditUndoEmpty("test:post-spec");
-}
-
-TEST(Audit, ConflictLedgerAuditCatchesOverlappingGroups) {
-  auto overlapAndAudit = [] {
-    ConflictLedger ledger;
-    ledger.reset(64);
-    // Two different commit groups claiming the same slots: replay on the
-    // master would no longer reproduce the workers' writes — exactly the
-    // invariant the audit pins.
-    ledger.testRecordRaw({10, 20}, 0);
-    ledger.testRecordRaw({15, 25}, 1);
-    ledger.auditCheck("test:overlap-groups");
-  };
-  EXPECT_DEATH(overlapAndAudit(), "ConflictLedger audit failed");
-}
-
-TEST(Audit, ConflictLedgerAuditCatchesOutOfRangeSlot) {
-  auto rangeAndAudit = [] {
-    ConflictLedger ledger;
-    ledger.reset(16);
-    ledger.testRecordRaw({10, 20}, 0);  // hi beyond the 16-slot tour
-    ledger.auditCheck("test:slot-range");
-  };
-  EXPECT_DEATH(rangeAndAudit(), "ConflictLedger audit failed");
 }
 
 TEST(Audit, ModeFlagMatchesBuild) {

@@ -155,9 +155,10 @@ TEST(Alpha, TreeEdgesHaveZeroAlphaRank) {
     const auto list = alpha.of(c);
     for (int nb : treeAdj[std::size_t(c)]) {
       // Each tree neighbor must appear in the list (alpha = 0, k=5 >= deg).
-      if (treeAdj[std::size_t(c)].size() <= 5)
+      if (treeAdj[std::size_t(c)].size() <= 5) {
         EXPECT_NE(std::find(list.begin(), list.end(), nb), list.end())
             << "city " << c << " tree-neighbor " << nb;
+      }
     }
   }
 }

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "construct/construct.h"
 #include "core/runtime.h"
 #include "svc/solver_pool.h"
 #include "tsp/gen.h"
@@ -138,30 +137,8 @@ TEST(PrepParallel, SymmetricCloseAfterParallelBuildIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 3: construction. The partitioned tour is a function of the shard
-// count only — never of the pool — and shards<=1 is exactly serial QB.
-
-TEST(PrepParallel, PartitionedConstructionThreadInvariant) {
-  const Instance inst = clustered("qbpart", 4000, 8, 17);
-  CandidateLists cand(inst, 8);
-  cand.makeSymmetric();
-  const std::vector<int> serial =
-      partitionedQuickBoruvkaTour(inst, cand, 4, nullptr);
-  // Valid permutation.
-  std::vector<char> seen(std::size_t(inst.n()), 0);
-  for (int c : serial) seen[std::size_t(c)] = 1;
-  for (char f : seen) ASSERT_TRUE(f);
-  for (int threads : {2, 8}) {
-    TaskPool pool(threads);
-    EXPECT_EQ(partitionedQuickBoruvkaTour(inst, cand, 4, &pool), serial)
-        << threads << " threads";
-  }
-  EXPECT_EQ(partitionedQuickBoruvkaTour(inst, cand, 1, nullptr),
-            quickBoruvkaTour(inst, cand));
-}
-
-// ---------------------------------------------------------------------
-// Layer 4: the whole build() and its cache identity.
+// Layer 3: the whole build() — construction tour included — and its
+// cache identity.
 
 TEST(PrepParallel, ContextBuildByteIdenticalAcrossThreads) {
   auto inst =
@@ -180,9 +157,6 @@ TEST(PrepParallel, ContextBuildByteIdenticalAcrossThreads) {
     EXPECT_EQ(p.cacheKey(), params.cacheKey());
     EXPECT_EQ(parallel->buildStats().threads, threads);
   }
-  PreprocessParams part = params;
-  part.partitionShards = 4;
-  EXPECT_NE(part.cacheKey(), params.cacheKey());
 }
 
 TEST(PrepParallel, ContextCacheOneBuildForMixedThreadRequests) {
@@ -207,7 +181,7 @@ TEST(PrepParallel, ContextCacheOneBuildForMixedThreadRequests) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 5: the pinned end-to-end fixture (tests/test_runtime.cpp) must
+// Layer 4: the pinned end-to-end fixture (tests/test_runtime.cpp) must
 // reproduce bit-for-bit from a context built with 8 prep threads.
 
 TEST(PrepParallel, PinnedFixtureTrajectoryWithParallelPrep) {
@@ -244,7 +218,7 @@ TEST(PrepParallel, PinnedFixtureTrajectoryWithParallelPrep) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 6: the pool-wide prep-thread budget clamps requests but never
+// Layer 5: the pool-wide prep-thread budget clamps requests but never
 // changes what gets built.
 
 TEST(PrepParallel, SolverPoolClampsPrepThreadsToBudget) {

@@ -69,7 +69,9 @@ TEST(ThreadDriver, RecordsPerNodeCurvesAndEvents) {
   int inits = 0;
   for (std::size_t i = 0; i < res.events.size(); ++i) {
     if (res.events[i].type == NodeEventType::kInitialTour) ++inits;
-    if (i > 0) EXPECT_GE(res.events[i].time, res.events[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(res.events[i].time, res.events[i - 1].time);
+    }
     EXPECT_GE(res.events[i].node, 0);
     EXPECT_LT(res.events[i].node, 3);
   }

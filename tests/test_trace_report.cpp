@@ -176,8 +176,11 @@ TEST(TraceReport, GarbledLinesAreCountedAndFailValidation) {
 TEST(TraceReport, TruncatedTraceStillLoadsWhatItCan) {
   const std::string jsonl = capturedChurnTrace(RuntimeKind::kSim);
   // Cut mid-line, as a killed process would: the partial tail line is
-  // counted bad, everything before it loads.
-  const std::string cut = jsonl.substr(0, jsonl.size() * 2 / 3);
+  // counted bad, everything before it loads. The cut lands a few bytes
+  // into the line that spans the 2/3 mark, so it never falls on a line
+  // boundary (which would leave no partial line at all).
+  const std::size_t lineStart = jsonl.rfind('\n', jsonl.size() * 2 / 3) + 1;
+  const std::string cut = jsonl.substr(0, lineStart + 5);
   const obs::LoadedTrace full = load(jsonl);
   const obs::LoadedTrace part = load(cut);
   EXPECT_EQ(part.badLines, 1);

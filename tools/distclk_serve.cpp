@@ -35,9 +35,6 @@
 //     prep_threads     requested preprocessing build parallelism (clamped
 //                      to the pool's --prep-threads budget; output is
 //                      byte-identical for any value)
-//     prep_partition   Hilbert-partitioned construction shard count
-//                      (changes the construction tour; part of the
-//                      context cache key)
 //     nodes, topology, seconds, seed, kick, runtime, modeled_work, target
 //                      RunConfig fields, same semantics as distclk_cli
 //     priority         higher runs first (default 0; FIFO within a level)
@@ -103,8 +100,6 @@ svc::JobSpec makeSpec(const obs::JsonValue& v) {
     spec.preprocess.kind = CandidateLists::Kind::kQuadrant;
   spec.preprocess.prepThreads = static_cast<int>(
       v.integer("prep_threads", spec.preprocess.prepThreads));
-  spec.preprocess.partitionShards = static_cast<int>(
-      v.integer("prep_partition", spec.preprocess.partitionShards));
   RunConfig& cfg = spec.run;
   cfg.runtime = runtimeKindFromString(v.str("runtime", "sim"));
   cfg.nodes = static_cast<int>(v.integer("nodes", cfg.nodes));

@@ -45,9 +45,6 @@ walks src/ and fails on the project-banned constructs:
                         nondeterminism into a trajectory, so every use must
                         be allowlisted with a justification explaining why
                         the construct cannot affect the result (e.g. the
-                        speculative kick engine's round barrier, where all
-                        RNG draws and commit decisions happen on the
-                        coordinator in deterministic task order; or the
                         solver pool, whose scheduling decides only WHICH
                         job runs when — each job's trajectory stays a pure
                         function of its spec). src/core, src/net, and

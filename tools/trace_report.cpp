@@ -265,21 +265,6 @@ void printSummary(const obs::LoadedTrace& trace,
                         steps / computeSum, computeSum);
           std::printf("\n");
         }
-        // Speculation summary (only for runs with --spec-workers > 0: the
-        // counters are absent or zero otherwise, keeping old reports
-        // byte-identical).
-        if (const obs::JsonValue* spec = c->find("node.spec_speculated")) {
-          const double speculated = spec->number;
-          if (speculated > 0) {
-            const obs::JsonValue* committed = c->find("node.spec_committed");
-            const obs::JsonValue* conflicts = c->find("node.spec_conflicts");
-            const double won = committed != nullptr ? committed->number : 0.0;
-            const double lost = conflicts != nullptr ? conflicts->number : 0.0;
-            std::printf("Spec     : %.0f evaluated, %.0f committed, "
-                        "%.0f conflicts (%.1f%% conflict rate)\n",
-                        speculated, won, lost, 100.0 * lost / speculated);
-          }
-        }
       }
     }
   }
