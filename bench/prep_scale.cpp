@@ -1,8 +1,10 @@
 // Preprocessing-pipeline scaling harness: times every phase of
 // InstanceContext::build (kd-tree, candidate CSR, construction) at large n
-// across prep-thread counts, plus the warm ContextCache hit path. Emits one
-// JSON object per line; scripts/bench.sh merges them into BENCH_lk.json
-// under "prep_scale".
+// across prep-thread counts, plus the warm ContextCache hit path. Each
+// phase is reported as the median over --reps builds with its p25/p75, so
+// one record shows whether a later change moved a phase beyond the noise.
+// Emits one JSON object per line; scripts/bench.sh merges them into
+// BENCH_lk.json under "prep_scale".
 //
 //   prep_scale [--max-n N] [--candidates K] [--reps R]
 //
@@ -14,11 +16,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "experiments/harness.h"
 #include "obs/json.h"
 #include "tsp/gen.h"
 #include "tsp/instance_context.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 using namespace distclk;
@@ -44,7 +48,7 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   const int maxN = args.getInt("max-n", 1000000);
   const int k = args.getInt("candidates", 10);
-  const int reps = std::max(1, args.getInt("reps", 1));
+  const int reps = std::max(1, args.getInt("reps", 5));
 
   for (const int n : {100000, 1000000}) {
     if (n > maxN) continue;
@@ -70,22 +74,30 @@ int main(int argc, char** argv) {
       PreprocessParams params;
       params.candidateK = k;
       params.prepThreads = threads;
-      // min over reps: the standard noisy-host estimator.
-      PreprocessBuildStats best;
-      best.totalMs = 0.0;
+      std::vector<double> kdtree, cand, construct, total;
       for (int r = 0; r < reps; ++r) {
         const auto ctx = InstanceContext::build(inst, params);
         const PreprocessBuildStats& s = ctx->buildStats();
-        if (r == 0 || s.totalMs < best.totalMs) best = s;
+        kdtree.push_back(s.kdtreeMs);
+        cand.push_back(s.candMs);
+        construct.push_back(s.constructMs);
+        total.push_back(s.totalMs);
       }
       obs::JsonObject o;
       o.field("bench", "prep_scale");
       o.field("n", n);
       o.field("threads", threads);
-      o.field("kdtree_ms", best.kdtreeMs);
-      o.field("cand_ms", best.candMs);
-      o.field("construct_ms", best.constructMs);
-      o.field("total_ms", best.totalMs);
+      o.field("reps", reps);
+      const auto spread = [&o](const std::string& phase,
+                               const std::vector<double>& ms) {
+        o.field(phase + "_ms", median(ms));
+        o.field(phase + "_p25_ms", quantile(ms, 0.25));
+        o.field(phase + "_p75_ms", quantile(ms, 0.75));
+      };
+      spread("kdtree", kdtree);
+      spread("cand", cand);
+      spread("construct", construct);
+      spread("total", total);
       emit(o);
     }
 

@@ -86,12 +86,13 @@ done
   --workers 1 --out "$out/serve_jobs.jsonl" > /dev/null
 
 # Preprocessing-pipeline scaling: per-phase build() wall times at large n
-# across prep-thread counts and the warm ContextCache hit. The million-city
-# arm self-gates on MemAvailable (a {"skipped":...} record, not silence).
-# PREP_MAX_N caps the sweep.
+# across prep-thread counts (median and p25/p75 over PREP_REPS builds) and
+# the warm ContextCache hit. The million-city arm self-gates on
+# MemAvailable (a {"skipped":...} record, not silence). PREP_MAX_N caps the
+# sweep.
 echo "== preprocessing scaling (prep_scale)"
 "$BUILD_DIR/bench/prep_scale" --max-n "${PREP_MAX_N:-1000000}" \
-  --reps "${PREP_REPS:-3}" | tee "$out/prep_scale.jsonl"
+  --reps "${PREP_REPS:-5}" | tee "$out/prep_scale.jsonl"
 
 if [[ -n "${SEED_CLI:-}" ]]; then
   echo "== cross-binary vs seed: $SEED_CLI"
@@ -272,9 +273,13 @@ if os.path.exists(serve_jobs):
         }
 
 # Preprocessing-pipeline scaling: group the prep_scale JSONL by n, derive
-# end-to-end and per-phase speedups vs the 1-thread arm. "cpus" records
+# end-to-end speedups vs the 1-thread arm from the medians. Every phase
+# carries its median (<phase>_ms) and p25/p75 over "reps" builds. "cpus" records
 # what the host offered: on a starved host the measured ratios go flat and
 # the record is self-explaining.
+PREP_ARM_FIELDS = ("threads", "reps") + tuple(
+    f"{phase}{stat}_ms" for phase in ("kdtree", "cand", "construct", "total")
+    for stat in ("", "_p25", "_p75"))
 prep_scale = None
 prep_path = os.path.join(out, "prep_scale.jsonl")
 if os.path.exists(prep_path):
@@ -287,9 +292,7 @@ if os.path.exists(prep_path):
             ent["mem_available_mib"] = r.get("mem_available_mib")
             ent["mem_needed_mib"] = r.get("mem_needed_mib")
         elif r.get("bench") == "prep_scale":
-            ent["arms"].append({k: r[k] for k in
-                                ("threads", "kdtree_ms", "cand_ms",
-                                 "construct_ms", "total_ms")})
+            ent["arms"].append({k: r[k] for k in PREP_ARM_FIELDS})
         elif r.get("bench") == "prep_scale_warm":
             ent["warm_cache_hit_ms"] = r.get("hit_ms")
     for ent in by_n.values():
@@ -309,7 +312,7 @@ if os.path.exists(prep_path):
         }
 
 result = {
-    "schema": "distclk-bench-lk-v6",
+    "schema": "distclk-bench-lk-v7",
     "git": os.environ.get("GIT_DESCRIBE", "unknown"),
     "benchmark_min_time": float(os.environ.get("MIN_TIME", "0.05")),
     "benchmarks": benchmarks,

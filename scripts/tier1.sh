@@ -8,11 +8,12 @@
 #      so data races in the mailbox/metrics/worker-pool/job-layer paths
 #      fail CI on day one.
 #   3. AddressSanitizer over the distance-kernel / candidate-list / tour /
-#      LK paths that index raw SoA and CSR arrays.
+#      LK / construction paths that index raw SoA and CSR arrays.
 #   4. UndefinedBehaviorSanitizer (signed overflow, shifts, bounds,
 #      float-cast-overflow; abort on first report) over the kernel, tour
-#      structures, LK, codec, parser, and metrics tests — the code where
-#      the int64 distance arithmetic and double->int rounding live.
+#      structures, LK, construction, codec, parser, and metrics tests —
+#      the code where the int64 distance arithmetic and double->int
+#      rounding live.
 #   5. Invariant audit build (-DDISTCLK_AUDIT=ON under ASan): structural
 #      self-checks compiled into Tour/BigTour/TwoLevelList/CandidateLists/
 #      NodeRunner mutation paths, exercised by test_audit.
@@ -38,7 +39,9 @@
 #      --prep-threads 4 must report the same construction tour length as
 #      the serial build (byte-identical preprocessing, DESIGN.md §13), and
 #      concurrent same-key jobs through distclk_serve must cost exactly
-#      one context build (cache_builds:1).
+#      one context build (cache_builds:1). A 10^6-city build at 1 and 4
+#      prep threads must report the pinned construction length 848449473
+#      (the kd-tree fragment stitcher keeps this to seconds).
 #
 # See DESIGN.md §7 for what each layer is expected to catch.
 set -euo pipefail
@@ -91,6 +94,13 @@ echo "== prep-parallelism smoke (byte-identical context at --prep-threads 4)"
 grep -q '^prep ' "$SMOKE/prep1.txt"
 grep -q 'threads=4' "$SMOKE/prep4.txt"
 diff <(grep '^result' "$SMOKE/prep1.txt") <(grep '^result' "$SMOKE/prep4.txt")
+# Million-city smoke: both thread counts reproduce the pinned construction
+# length of the uniform n=10^6, gen-seed 1 instance (EXPERIMENTS.md).
+for t in 1 4; do
+  ./build/examples/distclk_cli --gen uniform --n 1000000 --gen-seed 1 \
+    --prep-threads "$t" --prep-only > "$SMOKE/prep_1m_$t.txt"
+  grep -q '^result   : construction 848449473 ' "$SMOKE/prep_1m_$t.txt"
+done
 # Concurrent same-key jobs through the pool still cost exactly one context
 # build (the cache builds under its lock; prepThreads is not in the key).
 cat > "$SMOKE/prep_jobs.jsonl" <<'JOBS'
@@ -115,16 +125,16 @@ done
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDISTCLK_SAN=address
 cmake --build build-asan -j "$JOBS" \
   --target test_dist_kernel test_neighbors test_tour test_lk \
-           test_lk_workspace test_prep_parallel
+           test_lk_workspace test_prep_parallel test_construct
 for t in test_dist_kernel test_neighbors test_tour test_lk \
-         test_lk_workspace test_prep_parallel; do
+         test_lk_workspace test_prep_parallel test_construct; do
   echo "== ASan: $t"
   ./build-asan/tests/"$t"
 done
 
 UBSAN_TESTS=(test_dist_kernel test_tour test_twolevel test_big_tour test_lk
              test_lk_workspace test_chained_lk test_message
-             test_tsplib test_metrics test_prep_parallel)
+             test_tsplib test_metrics test_prep_parallel test_construct)
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDISTCLK_SAN=undefined
 cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
 for t in "${UBSAN_TESTS[@]}"; do

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "tsp/kdtree.h"
@@ -62,45 +63,130 @@ struct PartialTour {
   }
 };
 
-/// Stitches the path fragments of a partial tour into a Hamiltonian cycle by
-/// greedily joining nearest endpoint pairs. Only open endpoints are scanned,
-/// and greedy/Quick-Borůvka leave few fragments, so the quadratic pass over
-/// endpoints is cheap in practice.
+/// Euclidean radius that holds every city whose rounded distance under
+/// `type` is at most `d`, or a negative value when no planar bound exists
+/// (GEO, EXPLICIT). EUC_2D and MAN_2D round half up (Euclidean <= Manhattan),
+/// CEIL_2D and ATT never round below the exact value (ATT divides by
+/// sqrt(10)), and MAX_2D rounds each axis half up.
+double euclideanReach(EdgeWeightType type, std::int64_t d) {
+  const auto v = static_cast<double>(d);
+  switch (type) {
+    case EdgeWeightType::kEuc2D:
+    case EdgeWeightType::kMan2D: return v + 0.5;
+    case EdgeWeightType::kCeil2D: return v;
+    case EdgeWeightType::kAtt: return std::sqrt(10.0) * v;
+    case EdgeWeightType::kMax2D: return std::sqrt(2.0) * (v + 0.5);
+    default: return -1.0;
+  }
+}
+
+/// Stitches the path fragments of a partial tour into a Hamiltonian cycle.
+/// Rounds visit the open endpoints in id order; each takes its nearest
+/// valid partner (lowest id on equal distance), where valid means open and
+/// not the far end of its own path. Planar metrics find that partner with
+/// a kd-tree over the open endpoints: the Euclidean-nearest one bounds the
+/// best rounded distance d0, and a radius query of euclideanReach(d0)
+/// returns every city that can match or beat it, so the exact distances
+/// decide and the result equals a full scan. GEO and EXPLICIT instances
+/// have no such bound and scan the open endpoints (DESIGN.md §13). Extra
+/// memory is O(open endpoints).
 std::vector<int> stitchFragments(const Instance& inst, PartialTour& pt) {
   const int n = inst.n();
+  // Open endpoints in id order; the stitch works on their local indices,
+  // whose order is the id order.
   std::vector<int> open;
   for (int c = 0; c < n; ++c)
     if (pt.degree[std::size_t(c)] < 2) open.push_back(c);
-  // Each open endpoint links to its nearest valid partner in turn: O(F^2)
-  // over the endpoint set rather than a full global greedy, which is an
-  // adequate tradeoff since stitched edges are a vanishing fraction of the
-  // tour and LK immediately cleans them up.
+  const int f = static_cast<int>(open.size());
+  const auto isOpen = [&](int i) {
+    return pt.degree[std::size_t(open[std::size_t(i)])] < 2;
+  };
+  // farEnd[i]: the other end of i's path (i itself for a lone city). Each
+  // fragment is walked once here and kept current in O(1) per join.
+  std::vector<int> farEnd(std::size_t(f), -1);
+  for (int i = 0; i < f; ++i) {
+    if (farEnd[std::size_t(i)] != -1) continue;
+    int prev = -1, cur = open[std::size_t(i)];
+    if (pt.degree[std::size_t(cur)] == 1) {
+      prev = cur;
+      cur = pt.link[std::size_t(cur)][0];
+      while (pt.degree[std::size_t(cur)] == 2) {
+        const auto& lk = pt.link[std::size_t(cur)];
+        const int nxt = (lk[0] != prev) ? lk[0] : lk[1];
+        prev = cur;
+        cur = nxt;
+      }
+    }
+    const auto j = static_cast<int>(
+        std::lower_bound(open.begin(), open.end(), cur) - open.begin());
+    farEnd[std::size_t(i)] = j;
+    farEnd[std::size_t(j)] = i;
+  }
+
+  std::vector<Point> pts;
+  std::optional<KdTree> tree;
+  if (euclideanReach(inst.weightType(), 0) >= 0.0) {
+    pts.reserve(open.size());
+    for (int c : open) pts.push_back(inst.point(c));
+    tree.emplace(pts);
+  }
+  std::vector<int> within;
+  const auto partner = [&](int i) {
+    const int far = farEnd[std::size_t(i)];
+    int best = -1;
+    std::int64_t bestDist = std::numeric_limits<std::int64_t>::max();
+    const auto consider = [&](int o) {
+      if (o == i || o == far) return;
+      const auto d = inst.dist(open[std::size_t(i)], open[std::size_t(o)]);
+      if (d < bestDist || (d == bestDist && o < best)) {
+        bestDist = d;
+        best = o;
+      }
+    };
+    if (!tree) {
+      for (int o = 0; o < f; ++o)
+        if (isOpen(o)) consider(o);
+      return best;
+    }
+    const Point& p = pts[std::size_t(i)];
+    const int nearest = tree->nearestActive(p, i, far);
+    if (nearest == -1) return -1;
+    const double reach = euclideanReach(
+        inst.weightType(),
+        inst.dist(open[std::size_t(i)], open[std::size_t(nearest)]));
+    // Relative slack absorbs the rounding of the squared distances; the
+    // smallest normal double covers squares that underflow to zero.
+    within.clear();
+    tree->activeWithin(p,
+                       reach * reach * (1.0 + 1e-9) +
+                           std::numeric_limits<double>::min(),
+                       within);
+    for (int o : within) consider(o);
+    return best;
+  };
+
   while (pt.edges < n - 1) {
-    std::erase_if(open, [&](int c) { return pt.degree[std::size_t(c)] >= 2; });
     bool progressed = false;
-    for (int c : open) {
+    for (int i = 0; i < f; ++i) {
       if (pt.edges == n - 1) break;
-      if (pt.degree[std::size_t(c)] >= 2) continue;
-      int best = -1;
-      std::int64_t bestDist = std::numeric_limits<std::int64_t>::max();
-      for (int o : open) {
-        if (!pt.canAdd(c, o)) continue;
-        const auto d = inst.dist(c, o);
-        if (d < bestDist) {
-          bestDist = d;
-          best = o;
-        }
+      if (!isOpen(i)) continue;
+      const int j = partner(i);
+      if (j == -1) continue;
+      const int a = farEnd[std::size_t(i)], b = farEnd[std::size_t(j)];
+      pt.add(open[std::size_t(i)], open[std::size_t(j)]);
+      farEnd[std::size_t(a)] = b;
+      farEnd[std::size_t(b)] = a;
+      if (tree) {
+        if (!isOpen(i)) tree->deactivate(i);
+        if (!isOpen(j)) tree->deactivate(j);
       }
-      if (best != -1) {
-        pt.add(c, best);
-        progressed = true;
-      }
+      progressed = true;
     }
     if (!progressed) break;  // cannot happen for a valid partial tour
   }
   // Close the cycle: exactly two degree-1 endpoints remain.
   int e1 = -1, e2 = -1;
-  for (int c = 0; c < n; ++c)
+  for (int c : open)
     if (pt.degree[std::size_t(c)] < 2) (e1 == -1 ? e1 : e2) = c;
   if (e1 != -1 && e2 != -1) pt.add(e1, e2);
 
@@ -226,6 +312,7 @@ std::vector<int> quickBoruvkaTour(const Instance& inst,
       if (best != -1) pt.add(c, best);
     }
   }
+  procOrder = std::vector<int>();  // free it before the stitch allocates
   return stitchFragments(inst, pt);
 }
 

@@ -22,13 +22,16 @@ std::vector<int> nearestNeighborTour(const Instance& inst, int start = 0);
 
 /// Greedy edge matching: repeatedly add the shortest edge that keeps
 /// degrees <= 2 and creates no premature cycle; leftover path fragments are
-/// stitched nearest-endpoint-first. Candidate-list restricted.
+/// stitched nearest-endpoint-first (a kd-tree search over the open
+/// endpoints for planar metrics, a scan for GEO and EXPLICIT; DESIGN.md
+/// §13). Candidate-list restricted.
 std::vector<int> greedyTour(const Instance& inst, const CandidateLists& cand);
 
 /// Quick-Borůvka (Applegate/Cook/Rohe): process cities in coordinate order;
 /// each city with degree < 2 picks its cheapest valid incident edge
-/// (no subtour, other endpoint degree < 2). At most two passes, then
-/// fragment stitching. The paper's CLK starts from this tour.
+/// (no subtour, other endpoint degree < 2). At most two passes, then the
+/// same fragment stitching as greedyTour. The paper's CLK starts from this
+/// tour.
 std::vector<int> quickBoruvkaTour(const Instance& inst,
                                   const CandidateLists& cand);
 

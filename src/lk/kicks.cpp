@@ -133,15 +133,12 @@ void prepareKick(TourT& tour, KickStrategy strategy,
   }
 }
 
-/// Flip-token double bridge behind applyKickCities and the BigTour
-/// workspace kick: sort the cut cities in cyclic tour order (anchor =
-/// cities[0]) and recombine the segments A C B D via three recorded path
-/// reversals.
-void applyKickCitiesImpl(BigTour& tour, const std::array<int, 4>& cities,
-                         LkWorkspace& ws) {
-  if (tour.n() < 8)
-    throw std::invalid_argument(
-        "applyKickCities: tour too small for a 4-exchange");
+/// Flip-token double bridge behind the BigTour workspace kick: sort the
+/// cut cities in cyclic tour order (anchor = cities[0]) and recombine the
+/// segments A C B D via three recorded path reversals. The caller has
+/// already checked the tour size.
+void applyKickCities(BigTour& tour, const std::array<int, 4>& cities,
+                     LkWorkspace& ws) {
   ws.dirty.clear();
   for (int c : cities) {
     ws.dirty.push_back(c);
@@ -236,15 +233,10 @@ void applyKick(BigTour& tour, KickStrategy strategy,
     throw std::invalid_argument("applyKick: tour too small for a 4-exchange");
   selectKickCitiesInto(tour.instance(), strategy, cand, rng, opt,
                        ws.kickCities, ws.kickScratch);
-  applyKickCitiesImpl(
+  applyKickCities(
       tour,
       {ws.kickCities[0], ws.kickCities[1], ws.kickCities[2], ws.kickCities[3]},
       ws);
-}
-
-void applyKickCities(BigTour& tour, const std::array<int, 4>& cities,
-                     LkWorkspace& ws) {
-  applyKickCitiesImpl(tour, cities, ws);
 }
 
 void commitKick(LkWorkspace& ws) {

@@ -3,7 +3,6 @@
 // the four "relevant cities" whose successor edges get cut are selected.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -66,23 +65,16 @@ void selectKickCitiesInto(const Instance& inst, KickStrategy strategy,
 /// ws.undoLog for BigTour) is retained so the CLK driver can mutate the
 /// champion in place and roll a losing kick back in O(changed). Callers
 /// start a kick cycle with ws.resetUndo() and end it with commitKick() or
-/// rollbackKick().
+/// rollbackKick(). The BigTour kick is realized rotation-free as (up to)
+/// three recorded path reversals, so the whole kick lives in ws.undoLog as
+/// flip tokens; the array Tour's kick keeps its rotation-based
+/// construction (a different — equally legitimate — double bridge on the
+/// same cities; see tests/test_big_tour.cpp).
 void applyKick(Tour& tour, KickStrategy strategy, const CandidateLists& cand,
                Rng& rng, const KickOptions& opt, LkWorkspace& ws);
 void applyKick(BigTour& tour, KickStrategy strategy,
                const CandidateLists& cand, Rng& rng, const KickOptions& opt,
                LkWorkspace& ws);
-
-/// BigTour kick with caller-supplied cut cities, realized rotation-free as
-/// (up to) three recorded path reversals — the construction the BigTour
-/// workspace kick uses. The whole kick lives in ws.undoLog as flip tokens,
-/// so rollbackKick rewinds it LIFO with the repair flips. Consumes no RNG;
-/// fills ws.dirty with the cut-edge endpoints. The BigTour applyKick above
-/// is selection + applyKickCities; the array Tour's applyKick keeps its
-/// rotation-based construction (a different — equally legitimate — double
-/// bridge on the same cities; see tests/test_big_tour.cpp).
-void applyKickCities(BigTour& tour, const std::array<int, 4>& cities,
-                     LkWorkspace& ws);
 
 /// Accepts the kicked-and-repaired tour: O(1), just drops the undo state.
 void commitKick(LkWorkspace& ws);

@@ -1,6 +1,7 @@
 #include "tsp/kdtree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -229,23 +230,22 @@ void KdTree::reactivateAll() {
   for (auto& nd : nodes_) nd.activeInSubtree = nd.end - nd.begin;
 }
 
-int KdTree::nearestActive(const Point& p, int exclude) const {
+int KdTree::nearestActive(const Point& p, int exclude, int exclude2) const {
   if (activeCount_ == 0) return -1;
   double bound = std::numeric_limits<double>::infinity();
   int best = -1;
   // Custom traversal that prunes fully-deactivated subtrees.
-  struct Frame { int node; };
-  std::vector<Frame> stack;
-  stack.push_back({0});
-  while (!stack.empty()) {
-    const int node = stack.back().node;
-    stack.pop_back();
-    const Node& nd = nodes_[std::size_t(node)];
+  std::array<int, kMaxStack> stack;
+  int top = 0;
+  stack[std::size_t(top++)] = 0;
+  while (top > 0) {
+    const Node& nd = nodes_[std::size_t(stack[std::size_t(--top)])];
     if (nd.activeInSubtree == 0 || boxDist2(nd, p) > bound) continue;
     if (nd.splitDim < 0) {
       for (int i = nd.begin; i < nd.end; ++i) {
         const int idx = order_[std::size_t(i)];
-        if (!active_[std::size_t(idx)] || idx == exclude) continue;
+        if (!active_[std::size_t(idx)] || idx == exclude || idx == exclude2)
+          continue;
         const Point& q = pts_[std::size_t(idx)];
         const double d2 = sq(p.x - q.x) + sq(p.y - q.y);
         if (d2 < bound || (d2 == bound && (best == -1 || idx < best))) {
@@ -259,10 +259,33 @@ int KdTree::nearestActive(const Point& p, int exclude) const {
         ((nd.splitDim == 0 ? p.x : p.y) < nd.splitVal) ? nd.left : nd.right;
     const int second = first == nd.left ? nd.right : nd.left;
     // Push the farther child first so the nearer one is explored next.
-    stack.push_back({second});
-    stack.push_back({first});
+    stack[std::size_t(top++)] = second;
+    stack[std::size_t(top++)] = first;
   }
   return best;
+}
+
+void KdTree::activeWithin(const Point& p, double radius2,
+                          std::vector<int>& out) const {
+  if (activeCount_ == 0) return;
+  std::array<int, kMaxStack> stack;
+  int top = 0;
+  stack[std::size_t(top++)] = 0;
+  while (top > 0) {
+    const Node& nd = nodes_[std::size_t(stack[std::size_t(--top)])];
+    if (nd.activeInSubtree == 0 || boxDist2(nd, p) > radius2) continue;
+    if (nd.splitDim < 0) {
+      for (int i = nd.begin; i < nd.end; ++i) {
+        const int idx = order_[std::size_t(i)];
+        if (!active_[std::size_t(idx)]) continue;
+        const Point& q = pts_[std::size_t(idx)];
+        if (sq(p.x - q.x) + sq(p.y - q.y) <= radius2) out.push_back(idx);
+      }
+      continue;
+    }
+    stack[std::size_t(top++)] = nd.right;
+    stack[std::size_t(top++)] = nd.left;
+  }
 }
 
 }  // namespace distclk

@@ -1,7 +1,8 @@
 // Static 2-d tree over instance coordinates. Supports k-nearest-neighbor
 // queries (candidate-list construction) and nearest-active queries with
 // deactivation (greedy construction heuristics such as nearest-neighbor and
-// Quick-Borůvka consume cities one by one).
+// the fragment stitcher consume cities one by one), plus a radius query over
+// the active points.
 //
 // The build can run on a TaskPool: independent sibling subtrees are forked
 // as tasks after their shared nth_element partition, which leaves every
@@ -66,9 +67,15 @@ class KdTree {
   bool isActive(int i) const noexcept { return active_[std::size_t(i)]; }
   int activeCount() const noexcept { return activeCount_; }
 
-  /// Nearest active point to `p`, excluding index `exclude` (-1 for none).
+  /// Nearest active point to `p`, excluding indices `exclude` and
+  /// `exclude2` (-1 for none); on equal distance the lowest index wins.
   /// Returns -1 when no active point qualifies.
-  int nearestActive(const Point& p, int exclude = -1) const;
+  int nearestActive(const Point& p, int exclude = -1, int exclude2 = -1) const;
+
+  /// Appends to `out` every active point whose squared Euclidean distance
+  /// to `p` is at most `radius2`, in tree order. Subtrees without active
+  /// points are skipped, so the cost follows the active points near `p`.
+  void activeWithin(const Point& p, double radius2, std::vector<int>& out) const;
 
   /// The point permutation underlying the tree (leaves are contiguous
   /// ranges of it). Exposed so tests can pin that parallel builds produce
@@ -102,6 +109,10 @@ class KdTree {
   std::vector<char> active_;
   int activeCount_ = 0;
   static constexpr int kLeafSize = 16;
+  /// Traversal stack bound: the median split keeps the tree balanced, so
+  /// its depth is below log2(size) + 1 <= 32 and a depth-first walk that
+  /// pushes both children holds at most depth + 1 pending nodes.
+  static constexpr int kMaxStack = 64;
   /// Subtrees at least this large fork their children as pool tasks.
   static constexpr int kParallelGrain = 2048;
 };

@@ -172,5 +172,101 @@ TEST(KdTree, HandlesDuplicatePoints) {
   EXPECT_EQ(nn, 20);
 }
 
+// Integer points on a small lattice: duplicates and exact distance ties
+// everywhere, so the lowest-index tie rule is actually exercised.
+std::vector<Point> latticePoints(int n, int side, Rng& rng) {
+  std::vector<Point> pts(static_cast<std::size_t>(n));
+  for (auto& p : pts)
+    p = {static_cast<double>(rng.below(std::uint64_t(side))),
+         static_cast<double>(rng.below(std::uint64_t(side)))};
+  return pts;
+}
+
+double dist2(const Point& a, const Point& b) {
+  const double dx = a.x - b.x, dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
+
+TEST(KdTree, NearestActiveTwoExclusionsMatchesBruteForce) {
+  Rng rng(11);
+  for (const int n : {1, 2, 17, 300, 2000}) {
+    const auto pts = latticePoints(n, n < 100 ? 4 : 25, rng);
+    KdTree tree(pts);
+    std::vector<bool> active(std::size_t(n), true);
+    for (int round = 0; round < 2 * n + 4; ++round) {
+      if (round % 3 == 2) {
+        const int kill = static_cast<int>(rng.below(std::uint64_t(n)));
+        tree.deactivate(kill);
+        active[std::size_t(kill)] = false;
+      }
+      const int at = static_cast<int>(rng.below(std::uint64_t(n)));
+      const Point q = round % 2 ? pts[std::size_t(at)]
+                                : Point{rng.uniform(-1.0, 26.0),
+                                        rng.uniform(-1.0, 26.0)};
+      const int ex1 = round % 4 == 0 ? -1 : at;
+      const int ex2 = round % 5 == 0
+                          ? -1
+                          : static_cast<int>(rng.below(std::uint64_t(n)));
+      int want = -1;
+      double best = 0.0;
+      for (int i = 0; i < n; ++i) {
+        if (!active[std::size_t(i)] || i == ex1 || i == ex2) continue;
+        const double d2 = dist2(pts[std::size_t(i)], q);
+        if (want == -1 || d2 < best) {
+          best = d2;
+          want = i;
+        }
+      }
+      ASSERT_EQ(tree.nearestActive(q, ex1, ex2), want)
+          << "n=" << n << " round=" << round;
+    }
+  }
+}
+
+TEST(KdTree, ActiveWithinMatchesBruteForce) {
+  Rng rng(12);
+  for (const int n : {1, 17, 300, 2000}) {
+    const auto pts = latticePoints(n, n < 100 ? 4 : 25, rng);
+    KdTree tree(pts);
+    std::vector<bool> active(std::size_t(n), true);
+    std::vector<int> got;
+    for (int round = 0; round < 2 * n + 4; ++round) {
+      if (round % 2 == 1) {
+        const int kill = static_cast<int>(rng.below(std::uint64_t(n)));
+        tree.deactivate(kill);
+        active[std::size_t(kill)] = false;
+      }
+      const Point q = pts[rng.below(std::uint64_t(n))];
+      // Integer squared radii put lattice points exactly on the boundary,
+      // which the query must include.
+      const auto r2 = static_cast<double>(rng.below(40));
+      got.clear();
+      tree.activeWithin(q, r2, got);
+      std::sort(got.begin(), got.end());
+      std::vector<int> want;
+      for (int i = 0; i < n; ++i)
+        if (active[std::size_t(i)] && dist2(pts[std::size_t(i)], q) <= r2)
+          want.push_back(i);
+      ASSERT_EQ(got, want) << "n=" << n << " round=" << round;
+    }
+  }
+}
+
+TEST(KdTree, ActiveWithinAppendsAndSkipsEmptyTrees) {
+  const std::vector<Point> pts{{0, 0}, {1, 0}, {5, 5}};
+  KdTree tree(pts);
+  std::vector<int> out{42};
+  tree.activeWithin({0, 0}, 1.0, out);
+  std::sort(out.begin() + 1, out.end());
+  EXPECT_EQ(out, (std::vector<int>{42, 0, 1}));
+  for (int i = 0; i < 3; ++i) tree.deactivate(i);
+  out.clear();
+  tree.activeWithin({0, 0}, 1e9, out);
+  EXPECT_TRUE(out.empty());
+  const KdTree empty(std::span<const Point>{});
+  empty.activeWithin({0, 0}, 1e9, out);
+  EXPECT_TRUE(out.empty());
+}
+
 }  // namespace
 }  // namespace distclk
