@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (const auto& scenario : scenarios) {
     std::vector<std::int64_t> lengths;
     for (int run = 0; run < cfg.runs; ++run) {
-      SimOptions opt;
+      RunConfig opt;
       opt.nodes = 8;
       opt.node = scaledNodeParams(inst);
       opt.timeLimitPerNode = budget;
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       opt.joins = scenario.joins;
       opt.nodeSpeeds = scenario.speeds;
       opt.seed = cfg.seed + std::uint64_t(run) * 577;
-      lengths.push_back(runSimulatedDistClk(inst, cand, opt).bestLength);
+      lengths.push_back(runDistributed(inst, cand, opt).bestLength);
     }
     results.emplace_back(scenario.name, std::move(lengths));
   }

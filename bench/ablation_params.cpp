@@ -23,14 +23,14 @@ std::vector<std::int64_t> runVariant(const Instance& inst,
                                      double latency = 1e-3) {
   std::vector<std::int64_t> lengths;
   for (int run = 0; run < cfg.runs; ++run) {
-    SimOptions opt;
+    RunConfig opt;
     opt.nodes = cfg.nodes;
     opt.node = params;
     opt.node.clkKicksPerCall = scaledNodeParams(inst).clkKicksPerCall;
     opt.timeLimitPerNode = budget;
     opt.latencySeconds = latency;
     opt.seed = cfg.seed + std::uint64_t(run) * 211;
-    lengths.push_back(runSimulatedDistClk(inst, cand, opt).bestLength);
+    lengths.push_back(runDistributed(inst, cand, opt).bestLength);
   }
   return lengths;
 }

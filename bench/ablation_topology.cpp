@@ -40,13 +40,13 @@ int main(int argc, char** argv) {
         TopologyKind::kComplete, TopologyKind::kStar}) {
     TopoResult r{kind, {}, {}};
     for (int run = 0; run < cfg.runs; ++run) {
-      SimOptions opt;
+      RunConfig opt;
       opt.node = scaledNodeParams(inst);
       opt.nodes = 8;
       opt.topology = kind;
       opt.timeLimitPerNode = budget;
       opt.seed = cfg.seed + std::uint64_t(run) * 43;
-      const SimResult res = runSimulatedDistClk(inst, cand, opt);
+      const RunResult res = runDistributed(inst, cand, opt);
       r.lengths.push_back(res.bestLength);
       r.broadcasts.add(static_cast<double>(res.net.broadcasts));
     }
@@ -61,12 +61,12 @@ int main(int argc, char** argv) {
   for (int nodes : {1, 2, 4, 8, 16}) {
     NodeResult r{nodes, {}};
     for (int run = 0; run < cfg.runs; ++run) {
-      SimOptions opt;
+      RunConfig opt;
       opt.node = scaledNodeParams(inst);
       opt.nodes = nodes;
       opt.timeLimitPerNode = budget;
       opt.seed = cfg.seed + std::uint64_t(run) * 47 + std::uint64_t(nodes);
-      r.lengths.push_back(runSimulatedDistClk(inst, cand, opt).bestLength);
+      r.lengths.push_back(runDistributed(inst, cand, opt).bestLength);
     }
     nodeResults.push_back(std::move(r));
   }

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   RunningStats broadcasts, perNode, bytes, earlyFrac;
   std::vector<double> firstTenTimes;
   for (int run = 0; run < cfg.runs; ++run) {
-    const SimResult res =
+    const RunResult res =
         runDistExperiment(inst, cand, KickStrategy::kRandomWalk, cfg.nodes,
                           budget, -1, cfg.seed + std::uint64_t(run) * 3);
     broadcasts.add(static_cast<double>(res.net.broadcasts));

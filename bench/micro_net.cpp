@@ -4,7 +4,7 @@
 // negligible next to CLK computation.
 #include <benchmark/benchmark.h>
 
-#include "core/dist_clk.h"
+#include "core/runtime.h"
 #include "net/message.h"
 #include "net/sim_network.h"
 #include "net/topology.h"
@@ -68,14 +68,14 @@ void BM_SimulatedRun(benchmark::State& state) {
   const CandidateLists cand(inst, 8);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    SimOptions opt;
+    RunConfig opt;
     opt.nodes = 4;
     opt.costModel = CostModel::kModeled;
     opt.modeledWorkPerSecond = 1e6;
     opt.node.clkKicksPerCall = 10;
     opt.timeLimitPerNode = 0.2;
     opt.seed = seed++;
-    benchmark::DoNotOptimize(runSimulatedDistClk(inst, cand, opt));
+    benchmark::DoNotOptimize(runDistributed(inst, cand, opt));
   }
 }
 BENCHMARK(BM_SimulatedRun)->Unit(benchmark::kMillisecond);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
     {  // DistCLK: first-iteration quality and final quality.
       const double budget = cfg.distBudgetFor(*spec) * 4.0;
-      const SimResult res =
+      const RunResult res =
           runDistExperiment(inst, cand, KickStrategy::kRandomWalk, cfg.nodes,
                             budget, -1, cfg.seed + 4);
       // First iteration = the best initial CLK result across nodes; that is

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     const CandidateLists cand(inst, 10);
 
     // Calibration: a longer cooperative run fixes the presumed optimum.
-    const SimResult calib = runDistExperiment(
+    const RunResult calib = runDistExperiment(
         inst, cand, KickStrategy::kRandomWalk, cfg.nodes,
         cfg.distBudgetFor(spec) * 4.0, /*target=*/-1, cfg.seed + 999983);
     const std::int64_t target = calib.bestLength;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         const ClkRunSummary c = runClkExperiment(
             inst, cand, kick, cfg.clkBudgetFor(spec), target, seed);
         clkHits += c.hitTarget;
-        const SimResult d =
+        const RunResult d =
             runDistExperiment(inst, cand, kick, cfg.nodes,
                               cfg.distBudgetFor(spec), target, seed + 1);
         distHits += d.hitTarget;

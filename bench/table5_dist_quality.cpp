@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
         calibrateReference(inst, cand, budget * 4.0, cfg.seed + 31337);
     for (std::size_t k = 0; k < 4; ++k) {
       for (int run = 0; run < cfg.runs; ++run) {
-        const SimResult res = runDistExperiment(
+        const RunResult res = runDistExperiment(
             inst, cand, kicks[k], cfg.nodes, budget, /*target=*/-1,
             cfg.seed + std::uint64_t(run) * 101 + std::uint64_t(k) * 31);
         cells[k].emplace_back(valueAtOrFirst(res.curve, budget * 0.1),

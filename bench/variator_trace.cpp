@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const double budget = cfg.distBudgetFor(*spec) * 4.0;
 
   for (int runIdx = 0; runIdx < 2; ++runIdx) {
-    SimOptions opt;
+    RunConfig opt;
     opt.nodes = cfg.nodes;
     opt.node = scaledNodeParams(inst);
     opt.node.clkKick = KickStrategy::kRandomWalk;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     opt.node.cr = 24;
     opt.timeLimitPerNode = budget;
     opt.seed = cfg.seed + std::uint64_t(runIdx) * 7919;
-    const SimResult res = runSimulatedDistClk(inst, cand, opt);
+    const RunResult res = runDistributed(inst, cand, opt);
 
     std::printf("Run %c on %s (n=%d, %d nodes, c_v=%d c_r=%d):\n",
                 'A' + runIdx, spec->standinName.c_str(), n, cfg.nodes,

@@ -62,8 +62,7 @@
 #include "baselines/multilevel.h"
 #include "baselines/tour_merge.h"
 #include "bound/held_karp.h"
-#include "core/dist_clk.h"
-#include "core/thread_driver.h"
+#include "core/runtime.h"
 #include "experiments/harness.h"
 #include "lk/two_opt.h"
 #include "obs/trace_sink.h"

@@ -4,7 +4,7 @@
 # kernel-vs-reference determinism check, and merges everything into
 # BENCH_lk.json at the repo root (per-benchmark ns/op, steps/sec, derived
 # speedup ratios, warm-vs-cold job setup through the solver service,
-# preprocessing scaling, git describe).
+# preprocessing scaling, pipelined-simulator scaling, git describe).
 #
 # Environment knobs:
 #   BUILD_DIR  build directory (default build-bench, CMAKE_BUILD_TYPE=Release)
@@ -30,7 +30,7 @@ export MIN_TIME
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target micro_tsp micro_lk micro_tour test_dist_kernel distclk_cli \
-           distclk_serve prep_scale
+           distclk_serve prep_scale sim_parallel
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -93,6 +93,13 @@ done
 echo "== preprocessing scaling (prep_scale)"
 "$BUILD_DIR/bench/prep_scale" --max-n "${PREP_MAX_N:-1000000}" \
   --reps "${PREP_REPS:-5}" | tee "$out/prep_scale.jsonl"
+
+# Pipelined simulator: wall time of one dist-sim-shaped run (8 peers,
+# n=3000, modeled cost) at 1, 2 and 4 compute workers, arms interleaved,
+# median and p25/p75 over 7 runs. Every arm must reproduce the 1-worker
+# trajectory (the binary exits non-zero otherwise).
+echo "== pipelined simulator scaling (sim_parallel)"
+"$BUILD_DIR/bench/sim_parallel" | tee "$out/sim_parallel.jsonl"
 
 if [[ -n "${SEED_CLI:-}" ]]; then
   echo "== cross-binary vs seed: $SEED_CLI"
@@ -311,8 +318,27 @@ if os.path.exists(prep_path):
             **by_n,
         }
 
+# Pipelined simulator: one arm per compute-worker count, speedups from the
+# medians against the 1-worker arm. "cpus" again records what the host
+# offered; the feature's keep-bar is >= 1.2x at 4 workers.
+SIM_ARM_FIELDS = ("workers", "reps", "wall_s", "wall_p25_s", "wall_p75_s",
+                  "speedup_vs_1")
+sim_parallel = None
+sim_path = os.path.join(out, "sim_parallel.jsonl")
+if os.path.exists(sim_path):
+    rows = [json.loads(l) for l in open(sim_path) if l.strip()]
+    rows = [r for r in rows if r.get("bench") == "sim_parallel"]
+    if rows:
+        sim_parallel = {
+            "cpus": os.cpu_count(),
+            "shape": f"{rows[0]['nodes']} peers, uniform n={rows[0]['n']}, "
+                     "modeled cost, 0.25 s per node",
+            "identical": all(r["identical"] for r in rows),
+            "arms": [{k: r[k] for k in SIM_ARM_FIELDS} for r in rows],
+        }
+
 result = {
-    "schema": "distclk-bench-lk-v7",
+    "schema": "distclk-bench-lk-v8",
     "git": os.environ.get("GIT_DESCRIBE", "unknown"),
     "benchmark_min_time": float(os.environ.get("MIN_TIME", "0.05")),
     "benchmarks": benchmarks,
@@ -321,6 +347,7 @@ result = {
     "telemetry_overhead": telemetry,
     "jobs_warm_vs_cold": jobs_warm_vs_cold,
     "prep_scale": prep_scale,
+    "sim_parallel": sim_parallel,
     "vs_seed": vs_seed,
 }
 

@@ -8,7 +8,9 @@
 #      so data races in the mailbox/metrics/worker-pool/job-layer paths
 #      fail CI on day one.
 #   3. AddressSanitizer over the distance-kernel / candidate-list / tour /
-#      LK / construction paths that index raw SoA and CSR arrays.
+#      LK / construction paths that index raw SoA and CSR arrays, and over
+#      the runtime, whose pipelined simulator must join in-flight compute
+#      phases before the nodes they touch are destroyed.
 #   4. UndefinedBehaviorSanitizer (signed overflow, shifts, bounds,
 #      float-cast-overflow; abort on first report) over the kernel, tour
 #      structures, LK, construction, codec, parser, and metrics tests —
@@ -125,9 +127,9 @@ done
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDISTCLK_SAN=address
 cmake --build build-asan -j "$JOBS" \
   --target test_dist_kernel test_neighbors test_tour test_lk \
-           test_lk_workspace test_prep_parallel test_construct
+           test_lk_workspace test_prep_parallel test_construct test_runtime
 for t in test_dist_kernel test_neighbors test_tour test_lk \
-         test_lk_workspace test_prep_parallel test_construct; do
+         test_lk_workspace test_prep_parallel test_construct test_runtime; do
   echo "== ASan: $t"
   ./build-asan/tests/"$t"
 done

@@ -15,6 +15,8 @@ NodeMetrics NodeMetrics::attach(obs::MetricsRegistry& registry) {
   m.perturbations = registry.counter("node.perturbations");
   m.lkFlips = registry.counter("node.lk_flips");
   m.lkUndoneFlips = registry.counter("node.lk_undone_flips");
+  m.initialLkFlips = registry.counter("node.initial_lk_flips");
+  m.initialLkUndoneFlips = registry.counter("node.initial_lk_undone_flips");
   m.lkKicks = registry.counter("node.lk_kicks");
   m.clkRollbacks = registry.counter("node.clk_rollbacks");
   m.restarts = registry.counter("node.restarts");
@@ -24,6 +26,9 @@ NodeMetrics NodeMetrics::attach(obs::MetricsRegistry& registry) {
   m.toursReceived = registry.counter("node.tours_received");
   m.computeSeconds = registry.histogram(
       "node.compute_seconds",
+      obs::MetricsRegistry::exponentialBounds(1e-4, 4.0, 10));
+  m.initialSeconds = registry.histogram(
+      "node.initial_seconds",
       obs::MetricsRegistry::exponentialBounds(1e-4, 4.0, 10));
   m.restartDepth = registry.histogram(
       "node.restart_depth", obs::MetricsRegistry::linearBounds(64.0, 8));
@@ -47,37 +52,54 @@ std::int64_t DistNode::innerKicks() const noexcept {
   return params_.clkKicksPerCall > 0 ? params_.clkKicksPerCall : inst_.n();
 }
 
-DistNode::StepOutcome DistNode::initialStep() {
+DistNode::ComputePhase DistNode::initialCompute() {
   if (initialized_) throw std::logic_error("DistNode: initialStep called twice");
-  initialized_ = true;
   Timer timer;
-  sPrev_ = initialTour();
+  ComputePhase phase{initialTour(), 0, 0.0, 0, false, 0, {}};
   ClkOptions co;
   co.kick = params_.clkKick;
   co.kickOpt = params_.kickOpt;
   co.lk = params_.lk;
   co.maxKicks = innerKicks();
   co.targetLength = params_.targetLength;
-  Tour s = sPrev_;
-  const ClkResult clk = chainedLinKernighan(s, cand_, rng_, ws_, co);
-  sBest_ = s;
-  sPrev_ = s;
-  StepOutcome out;
-  out.bestLength = sBest_.length();
+  phase.clk = chainedLinKernighan(phase.s, cand_, rng_, ws_, co);
   // Total physical reversals (applied + rewound): the same deterministic
   // work proxy as before the flips/undoneFlips telemetry split.
-  out.modelCost = clk.flips + clk.undoneFlips + inst_.n();
-  out.measuredSeconds = timer.seconds();
+  phase.modelCost = phase.clk.flips + phase.clk.undoneFlips + inst_.n();
+  phase.measuredSeconds = timer.seconds();
+  return phase;
+}
+
+DistNode::StepOutcome DistNode::commitInitial(ComputePhase phase) {
+  if (initialized_) throw std::logic_error("DistNode: initialStep called twice");
+  initialized_ = true;
+  sBest_ = std::move(phase.s);
+  sPrev_ = sBest_;
+  if (metrics_.registry != nullptr) {
+    // Kept apart from the EA-step counters, which count merge() commits.
+    obs::MetricsRegistry& reg = *metrics_.registry;
+    reg.add(metrics_.initialLkFlips, phase.clk.flips);
+    reg.add(metrics_.initialLkUndoneFlips, phase.clk.undoneFlips);
+    reg.observe(metrics_.initialSeconds, phase.measuredSeconds);
+  }
+  StepOutcome out;
+  out.bestLength = sBest_.length();
+  out.modelCost = phase.modelCost;
+  out.measuredSeconds = phase.measuredSeconds;
   out.foundTarget =
       params_.targetLength >= 0 && out.bestLength <= params_.targetLength;
   return out;
+}
+
+DistNode::StepOutcome DistNode::initialStep() {
+  return commitInitial(initialCompute());
 }
 
 DistNode::ComputePhase DistNode::compute() {
   if (!initialized_)
     throw std::logic_error("DistNode: compute before initialStep");
   Timer timer;
-  ComputePhase phase{sBest_, 0, 0.0, 0, false};
+  ComputePhase phase{sBest_, 0, 0.0, 0, false, 0, {}};
 
   // PERTURBATE(s_best): fresh construction after c_r stagnant iterations,
   // otherwise NumNoImprovements / c_v + 1 random double bridges.
@@ -104,17 +126,23 @@ DistNode::ComputePhase DistNode::compute() {
   co.lk = params_.lk;
   co.maxKicks = innerKicks();
   co.targetLength = params_.targetLength;
-  const ClkResult clk = chainedLinKernighan(phase.s, cand_, rng_, ws_, co);
-  phase.modelCost += clk.flips + clk.undoneFlips + clk.kicks;
+  phase.clk = chainedLinKernighan(phase.s, cand_, rng_, ws_, co);
+  phase.modelCost += phase.clk.flips + phase.clk.undoneFlips + phase.clk.kicks;
   phase.measuredSeconds = timer.seconds();
+  return phase;
+}
 
+DistNode::StepOutcome DistNode::merge(ComputePhase phase,
+                                      const std::vector<Message>& received) {
   if (metrics_.registry != nullptr) {
+    // Recorded at commit, not in compute(): a phase computed ahead on a
+    // worker thread must not show up in a snapshot taken before its turn.
     obs::MetricsRegistry& reg = *metrics_.registry;
     reg.add(metrics_.steps);
-    reg.add(metrics_.lkFlips, clk.flips);
-    reg.add(metrics_.lkUndoneFlips, clk.undoneFlips);
-    reg.add(metrics_.lkKicks, clk.kicks);
-    reg.add(metrics_.clkRollbacks, clk.rollbacks);
+    reg.add(metrics_.lkFlips, phase.clk.flips);
+    reg.add(metrics_.lkUndoneFlips, phase.clk.undoneFlips);
+    reg.add(metrics_.lkKicks, phase.clk.kicks);
+    reg.add(metrics_.clkRollbacks, phase.clk.rollbacks);
     if (phase.perturbations > 0)
       reg.add(metrics_.perturbations, phase.perturbations);
     if (phase.restarted) {
@@ -124,11 +152,6 @@ DistNode::ComputePhase DistNode::compute() {
     }
     reg.observe(metrics_.computeSeconds, phase.measuredSeconds);
   }
-  return phase;
-}
-
-DistNode::StepOutcome DistNode::merge(ComputePhase phase,
-                                      const std::vector<Message>& received) {
   StepOutcome out;
   out.modelCost = phase.modelCost;
   out.measuredSeconds = phase.measuredSeconds;

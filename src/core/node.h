@@ -28,6 +28,8 @@ struct NodeMetrics {
   obs::MetricId perturbations;    ///< double bridges applied (counter)
   obs::MetricId lkFlips;          ///< inner-CLK applied flips (counter)
   obs::MetricId lkUndoneFlips;    ///< inner-CLK rewound flips (counter)
+  obs::MetricId initialLkFlips;   ///< initial steps' applied flips (counter)
+  obs::MetricId initialLkUndoneFlips;  ///< initial steps' rewound flips
   obs::MetricId lkKicks;          ///< inner-CLK kicks (counter)
   obs::MetricId clkRollbacks;     ///< inner-CLK losing kicks rolled back
   obs::MetricId restarts;         ///< c_r-triggered restarts (counter)
@@ -36,6 +38,7 @@ struct NodeMetrics {
   obs::MetricId mergeStagnant;    ///< merge found no improvement
   obs::MetricId toursReceived;    ///< kTour messages considered (counter)
   obs::MetricId computeSeconds;   ///< wall time of compute phases (histogram)
+  obs::MetricId initialSeconds;   ///< wall time of initial steps (histogram)
   obs::MetricId restartDepth;     ///< NumNoImprovements at restart (histogram)
 
   /// Registers all node metrics on `registry` (idempotent by name).
@@ -82,14 +85,15 @@ class DistNode {
     int improvedFromNode = -1;
   };
 
-  /// First step: construct (Quick-Borůvka) and CLK-optimize the initial
-  /// tour. Must be called exactly once, before step().
-  StepOutcome initialStep();
-
   /// The compute half of an EA iteration: perturbation + inner CLK. The
   /// simulator charges virtual time for this phase before delivering the
   /// messages that arrived while it "ran" (the paper's nodes poll their
   /// receive queue only after CLK returns).
+  ///
+  /// A phase reads only this node's own state, and leaves s_best / s_prev
+  /// alone, so the simulator may run it on a worker thread ahead of its
+  /// commit and drop it unobserved when the run ends first. Its CLK
+  /// statistics ride along and reach the metrics only at commit.
   struct ComputePhase {
     Tour s;                      ///< the locally optimized challenger
     std::int64_t modelCost = 0;  ///< deterministic work units (LK flips)
@@ -97,14 +101,26 @@ class DistNode {
     int perturbations = 0;
     bool restarted = false;
     int noImprovementsAtRestart = 0;
+    ClkResult clk;               ///< the inner CLK call's counters
   };
+
+  /// Compute half of the first step: construct (Quick-Borůvka) and
+  /// CLK-optimize the initial tour. Throws once commitInitial() ran.
+  ComputePhase initialCompute();
+  /// Commit half of the first step: the phase's tour becomes s_best and
+  /// s_prev. Must be called exactly once, before merge().
+  StepOutcome commitInitial(ComputePhase phase);
+  /// Convenience: initialCompute + commitInitial in one call (tests).
+  StepOutcome initialStep();
+
   ComputePhase compute();
 
-  /// The merge half: SELECTBESTTOUR over received ∪ {s} ∪ {s_prev},
-  /// counter bookkeeping, and the broadcast decision.
+  /// The merge half (the commit of a compute phase): SELECTBESTTOUR over
+  /// received ∪ {s} ∪ {s_prev}, counter bookkeeping, the broadcast
+  /// decision, and the phase's metrics.
   StepOutcome merge(ComputePhase phase, const std::vector<Message>& received);
 
-  /// Convenience: compute + merge in one call (thread driver, tests).
+  /// Convenience: compute + merge in one call (tests, benches).
   StepOutcome step(const std::vector<Message>& received);
 
   int id() const noexcept { return id_; }

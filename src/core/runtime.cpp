@@ -3,14 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "core/runtime_detail.h"
 #include "net/sim_network.h"
 #include "net/thread_network.h"
 #include "obs/prom.h"
 #include "util/audit.h"
 #include "util/rng.h"
+#include "util/sync.h"
 #include "util/timer.h"
 
 namespace distclk {
@@ -282,11 +287,33 @@ void NodeRunner::auditCheck(const char* where) const {
   }
 }
 
-bool NodeRunner::initialTick() {
+void NodeRunner::enter() {
   env_.transport.setAlive(node_.id(), true);
   if (joinTime_ > 0.0) logEvent(env_.clock.now(node_.id()),
                                 NodeEventType::kNodeJoined, 1);
-  const auto out = node_.initialStep();
+}
+
+DistNode::ComputePhase NodeRunner::compute() {
+  // steps_ counts commits, so zero means the initial step is still due.
+  return steps_ == 0 ? node_.initialCompute() : node_.compute();
+}
+
+bool NodeRunner::commit(DistNode::ComputePhase phase) {
+  return steps_ == 0 ? commitInitial(std::move(phase))
+                     : commitStep(std::move(phase));
+}
+
+bool NodeRunner::reachTarget(double end, std::int64_t length) {
+  hitTarget_ = true;
+  targetTime_ = end;
+  logEvent(end, NodeEventType::kTargetReached, length);
+  if (env_.stop != nullptr) env_.stop->store(true, std::memory_order_relaxed);
+  env_.transport.announceTarget(node_.id(), length);
+  return true;
+}
+
+bool NodeRunner::commitInitial(DistNode::ComputePhase phase) {
+  const auto out = node_.commitInitial(std::move(phase));
   const double end =
       env_.clock.chargeCompute(node_.id(), out.modelCost, out.measuredSeconds);
   ++steps_;
@@ -294,23 +321,15 @@ bool NodeRunner::initialTick() {
   recordBest(end, out.bestLength, /*improvedByMessage=*/false,
              /*logImprovement=*/false);
   if (snapshotter_ != nullptr) snapshotter_->maybe(end);
-  if (out.foundTarget) {
-    hitTarget_ = true;
-    targetTime_ = end;
-    logEvent(end, NodeEventType::kTargetReached, out.bestLength);
-    if (env_.stop != nullptr) env_.stop->store(true, std::memory_order_relaxed);
-    env_.transport.announceTarget(node_.id(), out.bestLength);
-    return true;
-  }
+  if (out.foundTarget) return reachTarget(end, out.bestLength);
   return false;
 }
 
-bool NodeRunner::tick() {
+bool NodeRunner::commitStep(DistNode::ComputePhase phase) {
   const int id = node_.id();
   // Fig. 1: perturb + inner CLK first; the messages that arrived while the
   // compute phase "ran" are only seen afterwards (the paper's nodes poll
   // their receive queue once CLK returns).
-  auto phase = node_.compute();
   const double end =
       env_.clock.chargeCompute(id, phase.modelCost, phase.measuredSeconds);
   const int perturbations = phase.perturbations;
@@ -358,7 +377,7 @@ bool NodeRunner::tick() {
           end, id, sendSeq_, lamport_, msg.length,
           static_cast<std::int64_t>(serializedSize(msg))));
     }
-    DISTCLK_AUDIT_HOOK(auditWireMessage(msg, "NodeRunner::tick"));
+    DISTCLK_AUDIT_HOOK(auditWireMessage(msg, "NodeRunner::commit"));
     env_.transport.broadcast(id, end, msg);
   }
   recordBest(end, out.bestLength, out.improvedByMessage,
@@ -366,14 +385,7 @@ bool NodeRunner::tick() {
   checkStall(end);
   if (env_.sink != nullptr) maybeEmitNodeBest(end);
   if (snapshotter_ != nullptr) snapshotter_->maybe(end);
-  if (out.foundTarget) {
-    hitTarget_ = true;
-    targetTime_ = end;
-    logEvent(end, NodeEventType::kTargetReached, out.bestLength);
-    if (env_.stop != nullptr) env_.stop->store(true, std::memory_order_relaxed);
-    env_.transport.announceTarget(id, out.bestLength);
-    return true;
-  }
+  if (out.foundTarget) return reachTarget(end, out.bestLength);
   // Termination criterion 2, receiver side: a peer announced the target.
   if (env_.stop != nullptr) {
     for (const Message& msg : received)
@@ -501,12 +513,169 @@ void writeRunEnd(const RunConfig& cfg, obs::MetricsRegistry& registry,
 }
 
 // ---------------------------------------------------------------------------
-// Simulated substrate: deterministic discrete-event scheduler over
-// SimTransport + VirtualClock. Always steps the node with the smallest
-// virtual clock (strict <, ties to the lowest id), so runs are bit-exact
-// reproductions for a fixed seed.
+// Compute pipeline: runs the simulated nodes' compute phases ahead of their
+// commits. A node's next compute reads only its own DistNode, and messages
+// are read only at commit, so the phases of different nodes are independent
+// and may run at once; the scheduler still commits them one at a time in
+// virtual-time order. See DESIGN.md §6.1.
 
-RunResult runSim(const InstanceContext& ctx, const RunConfig& cfg) {
+class SimPipeline {
+ public:
+  /// Spawns `workers - 1` threads; the scheduler thread is the remaining
+  /// worker (see take()). With one worker nothing is spawned and take()
+  /// runs every phase inline, which is exactly the serial order.
+  SimPipeline(std::vector<NodeRunner>& runners, int workers)
+      : runners_(runners), slots_(runners.size()) {
+    try {
+      for (int i = 1; i < workers; ++i)
+        threads_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+      stop();  // a failed spawn must not leave the started ones joinable
+      throw;
+    }
+  }
+
+  /// Joins every worker. In-flight phases (at most one per worker) finish
+  /// and are dropped unobserved.
+  ~SimPipeline() { stop(); }
+
+  SimPipeline(const SimPipeline&) = delete;
+  SimPipeline& operator=(const SimPipeline&) = delete;
+
+  /// Queues `node`'s next compute; `start` (its clock) orders the queue.
+  void launch(int node, double start) {
+    {
+      const sync::MutexLock lock(mu_);
+      Slot& slot = slots_[std::size_t(node)];
+      slot.state = State::kQueued;
+      slot.start = start;
+    }
+    work_.notifyOne();
+  }
+
+  /// Returns `node`'s launched phase; rethrows what it threw. Until the
+  /// phase is done the calling (scheduler) thread works like any worker:
+  /// it runs `node`'s phase itself if no worker has started it, otherwise
+  /// the next queued one, and sleeps only when nothing is queued. (Merely
+  /// waiting would idle it: the workers take phases in the scheduler's own
+  /// order, so the one it needs next is usually already running.)
+  DistNode::ComputePhase take(int node) {
+    while (true) {
+      int run = -1;
+      {
+        const sync::MutexLock lock(mu_);
+        Slot& slot = slots_[std::size_t(node)];
+        if (slot.state == State::kIdle)
+          throw std::logic_error("SimPipeline: take() without launch()");
+        if (slot.state == State::kDone) {
+          slot.state = State::kIdle;
+          if (slot.error) std::rethrow_exception(std::exchange(slot.error, {}));
+          DistNode::ComputePhase phase = std::move(*slot.phase);
+          slot.phase.reset();
+          return phase;
+        }
+        run = slot.state == State::kQueued ? node : nextQueued();
+        if (run < 0) {
+          done_.wait(mu_);
+          continue;
+        }
+        slots_[std::size_t(run)].state = State::kRunning;
+      }
+      execute(run);
+    }
+  }
+
+ private:
+  enum class State { kIdle, kQueued, kRunning, kDone };
+  struct Slot {
+    State state = State::kIdle;
+    double start = 0.0;
+    std::optional<DistNode::ComputePhase> phase;
+    std::exception_ptr error;
+  };
+
+  void stop() {
+    {
+      const sync::MutexLock lock(mu_);
+      stopping_ = true;
+    }
+    work_.notifyAll();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  void workerLoop() {
+    while (true) {
+      int node = -1;
+      {
+        const sync::MutexLock lock(mu_);
+        while (!stopping_ && (node = nextQueued()) < 0) work_.wait(mu_);
+        if (stopping_) return;
+        slots_[std::size_t(node)].state = State::kRunning;
+      }
+      execute(node);
+    }
+  }
+
+  /// The queued phase the scheduler will need first: smallest
+  /// (start, node), the scheduler's own order. -1 when none is queued.
+  int nextQueued() const DISTCLK_REQUIRES(mu_) {
+    int best = -1;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].state != State::kQueued) continue;
+      if (best < 0 || slots_[i].start < slots_[std::size_t(best)].start)
+        best = int(i);
+    }
+    return best;
+  }
+
+  /// Runs one phase outside the lock (it touches only its node's state)
+  /// and publishes the result.
+  void execute(int node) {
+    std::optional<DistNode::ComputePhase> phase;
+    std::exception_ptr error;
+    try {
+      phase.emplace(runners_[std::size_t(node)].compute());
+    } catch (...) {
+      error = std::current_exception();
+    }
+    {
+      const sync::MutexLock lock(mu_);
+      Slot& slot = slots_[std::size_t(node)];
+      slot.phase = std::move(phase);
+      slot.error = error;
+      slot.state = State::kDone;
+    }
+    done_.notifyAll();
+  }
+
+  std::vector<NodeRunner>& runners_;
+  // Leaf lock: nothing is acquired under it, and phases run outside it.
+  sync::Mutex mu_{sync::LockRank::kSimPipeline, "SimPipeline.mu"};
+  sync::CondVar work_;  ///< a phase was queued, or stopping
+  sync::CondVar done_;  ///< a phase finished
+  std::vector<Slot> slots_ DISTCLK_GUARDED_BY(mu_);
+  bool stopping_ DISTCLK_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_;
+};
+
+/// The worker count runDistributed gives a simulated run: min(nodes,
+/// hardware threads) under CostModel::kModeled, 1 under kMeasured (whose
+/// virtual time is the wall time of each phase, so phases running at once
+/// would inflate each other's charge).
+int simWorkers(const RunConfig& cfg) {
+  if (cfg.costModel == CostModel::kMeasured) return 1;
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  return std::max(1, std::min(cfg.nodes, hardware));
+}
+
+// ---------------------------------------------------------------------------
+// Simulated substrate: deterministic discrete-event scheduler over
+// SimTransport + VirtualClock. Always commits the node with the smallest
+// virtual clock (strict <, ties to the lowest id), so runs are bit-exact
+// reproductions for a fixed seed at any worker count.
+
+RunResult runSim(const InstanceContext& ctx, const RunConfig& cfg,
+                 int workers) {
   SimNetwork net(buildTopology(cfg.topology, cfg.nodes), cfg.latencySeconds);
   SimTransport transport(net);
   VirtualClock clock(cfg.nodes, cfg.costModel, cfg.modeledWorkPerSecond,
@@ -530,6 +699,11 @@ RunResult runSim(const InstanceContext& ctx, const RunConfig& cfg) {
     clock.setNow(node, when);
     net.setAlive(node, false);
   }
+  std::vector<double> failTimes(std::size_t(cfg.nodes),
+                                std::numeric_limits<double>::infinity());
+  for (const auto& [node, when] : cfg.failures)
+    failTimes[std::size_t(node)] =
+        std::min(failTimes[std::size_t(node)], when);
 
   NodeRunner::Env env{transport, clock,   cfg,
                       cfg.trace, nullptr, &global};
@@ -540,57 +714,73 @@ RunResult runSim(const InstanceContext& ctx, const RunConfig& cfg) {
                          joinTimes[std::size_t(i)]);
 
   RunResult res;
-  std::vector<char> active(std::size_t(cfg.nodes), 1);
-  std::vector<char> pendingInit(std::size_t(cfg.nodes), 1);
-  auto failures = cfg.failures;
+  {
+    // Declared after nodes and runners, and scoped: every worker is joined
+    // before they die, on every exit path, and before the result below
+    // reads them.
+    SimPipeline pipeline(runners, workers);
+    // Launch rule: queue a node's next phase only when its commit is
+    // certain unless the whole run stops (target, cancel). The scheduler
+    // below retires a node at its first failure time or budget end, and
+    // both are checked against the clock the phase would start at. A
+    // cancelled run launches nothing more: the scheduler stops at its next
+    // check, and the pipeline would only have to wait for the phase. The
+    // first cancel seen sticks, so a skipped launch always ends the run.
+    bool stopped = false;
+    auto stopRequested = [&] { return stopped = stopped || cancelled(cfg); };
+    auto launchIfDue = [&](int i) {
+      const double t = clock.now(i);
+      if (t < cfg.timeLimitPerNode && t < failTimes[std::size_t(i)] &&
+          !stopRequested())
+        pipeline.launch(i, t);
+    };
+    for (int i = 0; i < cfg.nodes; ++i) launchIfDue(i);
 
-  while (true) {
-    // Cooperative cancellation: wind down before the next scheduled step.
-    // With cfg.cancel unset this is dead code, so trajectories are pinned.
-    if (cancelled(cfg)) break;
-    int nodeId = -1;
-    double start = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < cfg.nodes; ++i) {
-      if (!active[std::size_t(i)]) continue;
-      if (clock.now(i) < start) {
-        start = clock.now(i);
-        nodeId = i;
+    std::vector<char> active(std::size_t(cfg.nodes), 1);
+    auto failures = cfg.failures;
+    while (true) {
+      // Cooperative cancellation: wind down before the next scheduled step.
+      // With cfg.cancel unset this is dead code, so trajectories are pinned.
+      if (stopRequested()) break;
+      int nodeId = -1;
+      double start = std::numeric_limits<double>::infinity();
+      for (int i = 0; i < cfg.nodes; ++i) {
+        if (!active[std::size_t(i)]) continue;
+        if (clock.now(i) < start) {
+          start = clock.now(i);
+          nodeId = i;
+        }
       }
-    }
-    if (nodeId == -1) break;  // everyone done
+      if (nodeId == -1) break;  // everyone done
 
-    // Inject failures due at or before this step's start.
-    bool killed = false;
-    for (auto it = failures.begin(); it != failures.end();) {
-      if (it->second <= start) {
-        active[std::size_t(it->first)] = 0;
-        runners[std::size_t(it->first)].leave(it->second, /*failed=*/true);
-        if (it->first == nodeId) killed = true;
-        it = failures.erase(it);
-      } else {
-        ++it;
+      // Inject failures due at or before this step's start.
+      bool killed = false;
+      for (auto it = failures.begin(); it != failures.end();) {
+        if (it->second <= start) {
+          active[std::size_t(it->first)] = 0;
+          runners[std::size_t(it->first)].leave(it->second, /*failed=*/true);
+          if (it->first == nodeId) killed = true;
+          it = failures.erase(it);
+        } else {
+          ++it;
+        }
       }
-    }
-    if (killed) continue;
+      if (killed) continue;
 
-    if (start >= cfg.timeLimitPerNode) {
-      // Paper: nodes run out of budget one by one, degenerating the
-      // topology; dead nodes stop receiving. Not a failure — no event.
-      active[std::size_t(nodeId)] = 0;
-      runners[std::size_t(nodeId)].leave(start, /*failed=*/false);
-      continue;
-    }
+      if (start >= cfg.timeLimitPerNode) {
+        // Paper: nodes run out of budget one by one, degenerating the
+        // topology; dead nodes stop receiving. Not a failure — no event.
+        active[std::size_t(nodeId)] = 0;
+        runners[std::size_t(nodeId)].leave(start, /*failed=*/false);
+        continue;
+      }
 
-    NodeRunner& runner = runners[std::size_t(nodeId)];
-    if (pendingInit[std::size_t(nodeId)]) {
-      pendingInit[std::size_t(nodeId)] = 0;
-      if (runner.initialTick()) break;
-      continue;
-    }
-    if (runner.tick()) {
+      NodeRunner& runner = runners[std::size_t(nodeId)];
+      if (runner.steps() == 0) runner.enter();
       // Termination criterion 2: the finder notifies the cluster; the
       // simulation ends here and the remaining nodes' clocks stay put.
-      break;
+      if (runner.commit(pipeline.take(nodeId))) break;
+      launchIfDue(nodeId);
     }
   }
 
@@ -680,15 +870,16 @@ RunResult runThreads(const InstanceContext& ctx, const RunConfig& cfg) {
           std::this_thread::sleep_for(std::chrono::duration<double>(joinAt));
         // A joiner whose join time is past the budget never runs (matching
         // the simulated scheduler, which kills it before its first step).
-        if (clock.now(i) < cfg.timeLimitPerNode && !cancelled(cfg) &&
-            !runner.initialTick()) {
-          while (!stopFlag.load(std::memory_order_relaxed) &&
+        if (clock.now(i) < cfg.timeLimitPerNode && !cancelled(cfg)) {
+          runner.enter();
+          bool done = runner.tick();  // the initial step
+          while (!done && !stopFlag.load(std::memory_order_relaxed) &&
                  !cancelled(cfg) && clock.now(i) < cfg.timeLimitPerNode) {
             if (clock.now(i) >= failAt) {
               runner.leave(failAt, /*failed=*/true);
               break;
             }
-            if (runner.tick()) break;
+            done = runner.tick();
           }
         }
         nodeClocks[std::size_t(i)] = clock.now(i);
@@ -756,10 +947,20 @@ RunResult runDistributed(const std::shared_ptr<const InstanceContext>& ctx,
     throw std::invalid_argument("runDistributed: null InstanceContext");
   validateConfig(cfg);
   switch (cfg.runtime) {
-    case RuntimeKind::kSim: return runSim(*ctx, cfg);
+    case RuntimeKind::kSim: return runSim(*ctx, cfg, simWorkers(cfg));
     case RuntimeKind::kThreads: return runThreads(*ctx, cfg);
   }
   throw std::invalid_argument("RunConfig: unknown runtime");
 }
+
+namespace detail {
+
+RunResult runSimWorkers(const InstanceContext& ctx, const RunConfig& cfg,
+                        int workers) {
+  validateConfig(cfg);
+  return runSim(ctx, cfg, std::max(1, workers));
+}
+
+}  // namespace detail
 
 }  // namespace distclk

@@ -8,17 +8,17 @@
 // a socket transport speaking the net/message wire format) means writing a
 // Transport adapter, not a driver.
 //
-//   RunConfig  — one option struct for every substrate (ex SimOptions /
-//                ThreadRunOptions, which are now aliases of it)
-//   RunResult  — one result struct (ex SimResult / ThreadRunResult)
+//   RunConfig  — one option struct for every substrate
+//   RunResult  — one result struct
 //   Transport  — broadcast/send/collect + membership (kill, setAlive)
 //   Clock      — per-node now() + compute-phase charging (virtual or wall)
-//   NodeRunner — the per-node Fig.-1 iteration both drivers used to
-//                hand-roll: compute, collect, merge, trace, broadcast
+//   NodeRunner — the per-node Fig.-1 iteration: compute, then commit
+//                (collect, merge, trace, broadcast)
 //
 // Determinism guarantee: for a fixed seed the simulated substrate produces
 // bit-identical tours, curves, and event logs to the pre-refactor driver
-// (tests/test_runtime.cpp pins a recorded fixture).
+// (tests/test_runtime.cpp pins a recorded fixture), at any number of
+// compute workers.
 #pragma once
 
 #include <atomic>
@@ -288,11 +288,12 @@ class Snapshotter {
 };
 
 /// The Fig.-1 per-node iteration, shared by every substrate: compute
-/// (perturb + inner CLK), charge the clock, collect neighbor messages,
-/// merge, then bookkeeping — events, curves, broadcast, snapshot, target.
-/// One runner per node; runners never touch each other's state, so the
-/// thread runtime runs them concurrently without locks while the simulator
-/// interleaves them deterministically from one thread.
+/// (perturb + inner CLK), then commit — charge the clock, collect neighbor
+/// messages, merge, then bookkeeping: events, curves, broadcast, snapshot,
+/// target. One runner per node; runners never touch each other's state, so
+/// the thread runtime runs them concurrently without locks. The simulator
+/// runs the compute halves on a worker pool, ahead of time, and commits
+/// them from one thread in virtual-time order (DESIGN.md §6.1).
 class NodeRunner {
  public:
   /// Run-wide environment shared by all runners (everything in it must
@@ -316,11 +317,19 @@ class NodeRunner {
   NodeRunner(DistNode& node, const Env& env, EventLog& log,
              Snapshotter* snapshotter, double joinTime = 0.0);
 
-  /// First step: join the network, construct + CLK-optimize the initial
-  /// tour. Returns true when the target was already reached.
-  bool initialTick();
-  /// One EA iteration. Returns true when the target was reached.
-  bool tick();
+  /// Joins the network (a late joiner also logs kNodeJoined). Call once,
+  /// before the first commit: the simulator calls it at that commit's
+  /// turn, the thread runtime before its first compute, so peers'
+  /// broadcasts during the initial CLK reach the node's mailbox.
+  void enter();
+  /// The compute half of the next tick: construction + CLK before the
+  /// first commit, perturbation + inner CLK after it. Touches only this
+  /// node's DistNode, so it may run on another thread than the commit.
+  DistNode::ComputePhase compute();
+  /// The commit half. Returns true when the target was reached.
+  bool commit(DistNode::ComputePhase phase);
+  /// compute + commit on the calling thread.
+  bool tick() { return commit(compute()); }
 
   /// Scheduler-level membership changes (budget exhaustion, injected
   /// failure). `failed` additionally logs kNodeFailed at `when`.
@@ -342,6 +351,9 @@ class NodeRunner {
   const DistNode& node() const noexcept { return node_; }
 
  private:
+  bool commitInitial(DistNode::ComputePhase phase);
+  bool commitStep(DistNode::ComputePhase phase);
+  bool reachTarget(double end, std::int64_t length);
   void logEvent(double t, NodeEventType type, std::int64_t value);
   void recordBest(double now, std::int64_t length, bool improvedByMessage,
                   bool logImprovement);
@@ -372,8 +384,7 @@ class NodeRunner {
 /// Runs the distributed algorithm on the substrate selected by
 /// cfg.runtime. The simulated substrate is deterministic under
 /// CostModel::kModeled; the thread substrate blocks until all node threads
-/// join. Prefer the runSimulatedDistClk / runThreadedDistClk wrappers when
-/// the substrate is fixed at the call site.
+/// join.
 RunResult runDistributed(const Instance& inst, const CandidateLists& cand,
                          const RunConfig& cfg);
 

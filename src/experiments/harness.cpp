@@ -100,17 +100,17 @@ ClkRunSummary runClkExperiment(const InstanceContext& ctx, KickStrategy kick,
   return summary;
 }
 
-SimResult runDistExperiment(const Instance& inst, const CandidateLists& cand,
+RunResult runDistExperiment(const Instance& inst, const CandidateLists& cand,
                             KickStrategy kick, int nodes, double secondsPerNode,
                             std::int64_t target, std::uint64_t seed) {
-  SimOptions opt;
+  RunConfig opt;
   opt.nodes = nodes;
   opt.node = scaledNodeParams(inst);
   opt.node.clkKick = kick;
   opt.node.targetLength = target;
   opt.timeLimitPerNode = secondsPerNode;
   opt.seed = seed;
-  return runSimulatedDistClk(inst, cand, opt);
+  return runDistributed(inst, cand, opt);
 }
 
 DistParams scaledNodeParams(const Instance& inst) {
@@ -224,13 +224,13 @@ double referenceLength(const PaperInstance& spec, const Instance& inst) {
 std::int64_t calibrateReference(const Instance& inst,
                                 const CandidateLists& cand,
                                 double secondsPerNode, std::uint64_t seed) {
-  SimOptions opt;
+  RunConfig opt;
   opt.nodes = 8;
   opt.topology = TopologyKind::kComplete;  // fastest tour spread
   opt.node = scaledNodeParams(inst);
   opt.timeLimitPerNode = secondsPerNode;
   opt.seed = seed;
-  return runSimulatedDistClk(inst, cand, opt).bestLength;
+  return runDistributed(inst, cand, opt).bestLength;
 }
 
 double excess(std::int64_t length, double reference) {

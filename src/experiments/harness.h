@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dist_clk.h"
+#include "core/runtime.h"
 #include "core/trace.h"
 #include "experiments/instances.h"
 #include "lk/chained_lk.h"
@@ -73,13 +73,13 @@ ClkRunSummary runClkExperiment(const InstanceContext& ctx, KickStrategy kick,
 
 /// One DistCLK run under the discrete-event simulator, with EA step costs
 /// scaled for laptop budgets (see scaledNodeParams).
-SimResult runDistExperiment(const Instance& inst, const CandidateLists& cand,
+RunResult runDistExperiment(const Instance& inst, const CandidateLists& cand,
                             KickStrategy kick, int nodes, double secondsPerNode,
                             std::int64_t target, std::uint64_t seed);
 
 /// Node parameters with the inner-CLK kick budget scaled to the instance
 /// (n/16 kicks per EA step instead of linkern's n), so scaled runs perform
-/// many EA iterations. Benches that build SimOptions directly start here.
+/// many EA iterations. Benches that build RunConfig directly start here.
 DistParams scaledNodeParams(const Instance& inst);
 
 /// Shared distributed-run CLI: builds a RunConfig from the flags every

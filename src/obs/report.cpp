@@ -524,6 +524,29 @@ JobsReport jobsReport(const LoadedTrace& trace) {
   return report;
 }
 
+std::optional<LkWork> lkWork(const LoadedTrace& trace) {
+  if (!trace.lastMetrics) return std::nullopt;
+  const JsonValue* metrics = trace.lastMetrics->find("metrics");
+  const JsonValue* counters =
+      metrics != nullptr ? metrics->find("counters") : nullptr;
+  if (counters == nullptr || counters->find("node.lk_flips") == nullptr)
+    return std::nullopt;
+  const auto counter = [&](const char* name) {
+    const JsonValue* c = counters->find(name);
+    return c != nullptr ? c->number : 0.0;
+  };
+  LkWork work;
+  work.appliedFlips =
+      counter("node.lk_flips") + counter("node.initial_lk_flips");
+  work.rewoundFlips = counter("node.lk_undone_flips") +
+                      counter("node.initial_lk_undone_flips");
+  if (const JsonValue* h = metrics->find("histograms"))
+    for (const char* name : {"node.compute_seconds", "node.initial_seconds"})
+      if (const JsonValue* hist = h->find(name))
+        work.computeSeconds += hist->num("sum");
+  return work;
+}
+
 std::vector<double> parseLevels(const std::string& spec) {
   std::vector<double> levels;
   std::istringstream is(spec);

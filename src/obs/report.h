@@ -211,6 +211,21 @@ struct JobsReport {
 JobsReport jobsReport(const LoadedTrace& trace);
 
 // ---------------------------------------------------------------------------
+// LK throughput, from the last metrics snapshot
+
+/// Inner-CLK work summed over both kinds of compute phase, the initial
+/// steps and the EA steps, so the flips and the seconds cover the same
+/// calls.
+struct LkWork {
+  double appliedFlips = 0.0;
+  double rewoundFlips = 0.0;
+  double computeSeconds = 0.0;  ///< summed wall time of those phases
+};
+
+/// Nullopt when the trace has no metrics snapshot with LK counters.
+std::optional<LkWork> lkWork(const LoadedTrace& trace);
+
+// ---------------------------------------------------------------------------
 // --validate: trace schema / causal-consistency check
 
 struct ValidationResult {

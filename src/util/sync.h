@@ -101,6 +101,7 @@ enum class LockRank : int {
   kTraceSink = 70,       ///< obs/trace_sink.h    JsonlTraceSink::mu_
   kMetricsRegistry = 80, ///< obs/metrics.h       MetricsRegistry::mu_
   kMetricsShard = 90,    ///< obs/metrics.cpp     MetricsRegistry::Shard::mu
+  kSimPipeline = 95,     ///< core/runtime.cpp    SimPipeline::mu_ (leaf)
 };
 
 #ifdef DISTCLK_AUDIT_ENABLED
@@ -117,7 +118,7 @@ struct HeldLock {
 /// (the trace-sink flush) take try-locks after __call_tls_dtors has run,
 /// and a destroyed thread_local vector would be a use-after-free there.
 /// POD thread_locals have no destructor — their storage stays valid until
-/// the thread itself ends. Depth 16 is far beyond the 13-rank hierarchy;
+/// the thread itself ends. Depth 16 is far beyond the 14-rank hierarchy;
 /// overflow is itself an audit failure.
 inline constexpr int kMaxHeldLocks = 16;
 inline thread_local HeldLock tHeldLocks[kMaxHeldLocks];

@@ -95,7 +95,7 @@ TEST(Harness, RunClkExperimentProducesCurve) {
 TEST(Harness, RunDistExperimentWorks) {
   const Instance inst = uniformSquare("h", 100, 152);
   const CandidateLists cand(inst, 8);
-  const SimResult res = runDistExperiment(
+  const RunResult res = runDistExperiment(
       inst, cand, KickStrategy::kRandomWalk, 4, 0.2, -1, 3);
   Tour best(inst, res.bestOrder);
   EXPECT_TRUE(best.valid());

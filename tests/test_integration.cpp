@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "bound/held_karp.h"
-#include "core/dist_clk.h"
+#include "core/runtime.h"
 #include "experiments/harness.h"
 #include "tsp/gen.h"
 #include "tsp/tour.h"
@@ -33,12 +33,12 @@ TEST(Integration, DistributedMatchesLongClkOnClustered) {
   const CandidateLists cand(inst, 10);
   const ClkRunSummary longClk =
       runClkExperiment(inst, cand, KickStrategy::kRandomWalk, 2.0, -1, 9);
-  SimOptions opt;
+  RunConfig opt;
   opt.nodes = 4;
   opt.timeLimitPerNode = 0.4;
   opt.node.clkKicksPerCall = 50;
   opt.seed = 1;
-  const SimResult res = runSimulatedDistClk(inst, cand, opt);
+  const RunResult res = runDistributed(inst, cand, opt);
   EXPECT_LT(static_cast<double>(res.bestLength),
             static_cast<double>(longClk.finalLength) * 1.02);
   Tour best(inst, res.bestOrder);
@@ -53,7 +53,7 @@ TEST(Integration, CooperationBeatsIsolationOnDrillPlates) {
   const CandidateLists cand(inst, 10);
 
   auto bestOf = [&](bool cooperate, bool perturb, std::uint64_t seed) {
-    SimOptions o;
+    RunConfig o;
     o.nodes = 8;
     o.timeLimitPerNode = 0.35;
     o.node.clkKicksPerCall = 40;
@@ -62,7 +62,7 @@ TEST(Integration, CooperationBeatsIsolationOnDrillPlates) {
     // arrives — 8 independent CLK processes, best-of reported.
     o.latencySeconds = cooperate ? 1e-3 : 1e9;
     o.seed = seed;
-    return runSimulatedDistClk(inst, cand, o).bestLength;
+    return runDistributed(inst, cand, o).bestLength;
   };
 
   double coop = 0, naked = 0;
@@ -78,11 +78,11 @@ TEST(Integration, MessagesCarryValidToursAcrossTheStack) {
   // log against the final tour-length invariants.
   const Instance inst = uniformSquare("i", 200, 164);
   const CandidateLists cand(inst, 8);
-  SimOptions opt;
+  RunConfig opt;
   opt.nodes = 8;
   opt.timeLimitPerNode = 0.25;
   opt.node.clkKicksPerCall = 30;
-  const SimResult res = runSimulatedDistClk(inst, cand, opt);
+  const RunResult res = runDistributed(inst, cand, opt);
   std::int64_t lastBroadcast = std::numeric_limits<std::int64_t>::max();
   for (const auto& e : res.events) {
     if (e.type != NodeEventType::kBroadcastSent) continue;

@@ -8,8 +8,7 @@
 #include <iterator>
 #include <sstream>
 
-#include "core/dist_clk.h"
-#include "core/thread_driver.h"
+#include "core/runtime.h"
 #include "obs/json.h"
 #include "tsp/gen.h"
 #include "tsp/neighbors.h"
@@ -218,8 +217,8 @@ class TracedRuns : public ::testing::Test {
   TracedRuns()
       : inst_(uniformSquare("trace-test", 120, 5)), cand_(inst_, 8) {}
 
-  SimOptions simOptions() const {
-    SimOptions opt;
+  RunConfig simOptions() const {
+    RunConfig opt;
     opt.nodes = 4;
     opt.costModel = CostModel::kModeled;
     opt.modeledWorkPerSecond = 1e6;
@@ -237,10 +236,10 @@ class TracedRuns : public ::testing::Test {
 TEST_F(TracedRuns, SimulatedTraceIsCompleteAndParseable) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  SimOptions opt = simOptions();
+  RunConfig opt = simOptions();
   opt.trace = &sink;
   opt.metricsIntervalSeconds = 0.1;
-  const SimResult res = runSimulatedDistClk(inst_, cand_, opt);
+  const RunResult res = runDistributed(inst_, cand_, opt);
 
   std::istringstream in(out.str());
   std::string line;
@@ -273,14 +272,14 @@ TEST_F(TracedRuns, SimulatedTraceIsCompleteAndParseable) {
 }
 
 TEST_F(TracedRuns, TracingDoesNotChangeSimulatedResults) {
-  const SimResult bare = runSimulatedDistClk(inst_, cand_, simOptions());
+  const RunResult bare = runDistributed(inst_, cand_, simOptions());
 
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  SimOptions traced = simOptions();
+  RunConfig traced = simOptions();
   traced.trace = &sink;
   traced.metricsIntervalSeconds = 0.05;
-  const SimResult withTrace = runSimulatedDistClk(inst_, cand_, traced);
+  const RunResult withTrace = runDistributed(inst_, cand_, traced);
 
   // Determinism guarantee: observation must not perturb the run.
   EXPECT_EQ(bare.bestLength, withTrace.bestLength);
@@ -293,9 +292,9 @@ TEST_F(TracedRuns, TracingDoesNotChangeSimulatedResults) {
 TEST_F(TracedRuns, SimulatedTraceMetricsMatchResultCounters) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  SimOptions opt = simOptions();
+  RunConfig opt = simOptions();
   opt.trace = &sink;
-  const SimResult res = runSimulatedDistClk(inst_, cand_, opt);
+  const RunResult res = runDistributed(inst_, cand_, opt);
 
   // The final metrics record's net counters must agree with NetworkStats.
   std::istringstream in(out.str());
@@ -314,19 +313,31 @@ TEST_F(TracedRuns, SimulatedTraceMetricsMatchResultCounters) {
   EXPECT_EQ(counters->integer("node.restarts"), res.totalRestarts);
   // Every EA step is counted: initial steps show up in totalSteps only.
   EXPECT_EQ(counters->integer("node.steps") + opt.nodes, res.totalSteps);
+  // Initial steps have their own wall-time histogram, one sample per node;
+  // EA steps land in compute_seconds.
+  const JsonValue* hists = m->find("histograms");
+  ASSERT_NE(hists, nullptr);
+  const JsonValue* initial = hists->find("node.initial_seconds");
+  ASSERT_NE(initial, nullptr);
+  EXPECT_EQ(initial->integer("count"), opt.nodes);
+  EXPECT_GT(initial->num("sum"), 0.0);
+  const JsonValue* compute = hists->find("node.compute_seconds");
+  ASSERT_NE(compute, nullptr);
+  EXPECT_EQ(compute->integer("count"), counters->integer("node.steps"));
 }
 
 TEST_F(TracedRuns, ThreadedTraceIsParseableAndConsistent) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  ThreadRunOptions opt;
+  RunConfig opt;
+  opt.runtime = RuntimeKind::kThreads;
   opt.nodes = 4;
   opt.node.clkKicksPerCall = 10;
   opt.timeLimitPerNode = 0.3;
   opt.seed = 3;
   opt.trace = &sink;
   opt.metricsIntervalSeconds = 0.1;
-  const ThreadRunResult res = runThreadedDistClk(inst_, cand_, opt);
+  const RunResult res = runDistributed(inst_, cand_, opt);
 
   std::istringstream in(out.str());
   std::string line;

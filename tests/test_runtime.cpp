@@ -8,17 +8,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
 
-#include "core/dist_clk.h"
+#include "core/runtime_detail.h"
+#include "experiments/harness.h"
 #include "obs/report.h"
-#include "core/thread_driver.h"
 #include "net/sim_network.h"
 #include "net/thread_network.h"
 #include "tsp/gen.h"
 #include "tsp/tour.h"
+#include "util/timer.h"
 
 namespace distclk {
 namespace {
@@ -158,15 +160,16 @@ TEST(RuntimeParity, StallDetectorIsObservationOnly) {
   EXPECT_GT(stalls, 0);
 }
 
-TEST(RuntimeParity, WrapperEqualsRunDistributed) {
+TEST(RuntimeParity, SerialEntryEqualsRunDistributed) {
   const Instance inst = uniformSquare("parity", 120, 42);
   const CandidateLists cand(inst, 8);
-  // The legacy entry point is a thin veneer: identical trajectory.
-  const SimResult viaWrapper =
-      runSimulatedDistClk(inst, cand, parityConfig());
-  EXPECT_EQ(viaWrapper.bestLength, 8126701);
-  EXPECT_EQ(viaWrapper.totalSteps, 351);
-  EXPECT_EQ(eventLogHash(viaWrapper.events), 15090688922916996318ULL);
+  // One worker is the serial scheduler: the same fixture trajectory as the
+  // worker count runDistributed picks.
+  const RunResult serial = detail::runSimWorkers(
+      *InstanceContext::borrow(inst, cand), parityConfig(), 1);
+  EXPECT_EQ(serial.bestLength, 8126701);
+  EXPECT_EQ(serial.totalSteps, 351);
+  EXPECT_EQ(eventLogHash(serial.events), 15090688922916996318ULL);
 }
 
 // -----------------------------------------------------------------------
@@ -454,6 +457,225 @@ TEST(RuntimeJobLabel, AppearsInRunMetaOnlyWhenSet) {
   };
   EXPECT_EQ(capture("tenant-a/job-1"), "tenant-a/job-1");
   EXPECT_EQ(capture(""), "");  // standalone runs: key omitted, goldens stable
+}
+
+// -----------------------------------------------------------------------
+// Pipelined simulator: the compute phases run on a worker pool, the commits
+// stay in virtual-time order. Every worker count must reproduce the serial
+// run exactly — result, event log, trace records and metric counters. Only
+// wall-time histograms differ, and the comparison drops them.
+
+/// The trace minus what measures wall time: the compute and initial phase
+/// histograms of every metrics record.
+std::string deterministicTrace(const std::string& jsonl) {
+  static const std::regex wallHistogram(
+      R"(,?"node\.(compute|initial)_seconds":\{[^}]*\})");
+  return std::regex_replace(jsonl, wallHistogram, "");
+}
+
+void expectSameRun(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.bestLength, b.bestLength);
+  EXPECT_EQ(a.bestOrder, b.bestOrder);
+  EXPECT_EQ(a.hitTarget, b.hitTarget);
+  EXPECT_EQ(a.targetTime, b.targetTime);
+  const auto sameCurve = [](const AnytimeCurve& x, const AnytimeCurve& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      if (x[i].time != y[i].time || x[i].length != y[i].length) return false;
+    return true;
+  };
+  EXPECT_TRUE(sameCurve(a.curve, b.curve));
+  ASSERT_EQ(a.nodeCurves.size(), b.nodeCurves.size());
+  for (std::size_t i = 0; i < a.nodeCurves.size(); ++i)
+    EXPECT_TRUE(sameCurve(a.nodeCurves[i], b.nodeCurves[i])) << "node " << i;
+  ASSERT_EQ(a.events.size(), b.events.size());
+  EXPECT_EQ(eventLogHash(a.events), eventLogHash(b.events));
+  EXPECT_EQ(a.nodeBest, b.nodeBest);
+  EXPECT_EQ(a.nodeClocks, b.nodeClocks);
+  EXPECT_EQ(a.totalSteps, b.totalSteps);
+  EXPECT_EQ(a.totalRestarts, b.totalRestarts);
+  EXPECT_EQ(a.net.messagesSent, b.net.messagesSent);
+  EXPECT_EQ(a.net.broadcasts, b.net.broadcasts);
+  EXPECT_EQ(a.net.bytesSent, b.net.bytesSent);
+  EXPECT_EQ(a.net.sentByNode, b.net.sentByNode);
+}
+
+/// Runs `cfg` at 1 worker and at 2, 3, 4 and 8 and requires identical runs.
+/// `prepare` rebuilds per-run state (trace sink, cancel flag) and returns
+/// the config to run; the traces must match too.
+void expectWorkerCountInvariant(
+    const InstanceContext& ctx,
+    const std::function<RunConfig(obs::TraceSink*)>& prepare,
+    RunResult* serialOut = nullptr) {
+  std::ostringstream serialTrace;
+  obs::JsonlTraceSink serialSink(serialTrace);
+  const RunResult serial =
+      detail::runSimWorkers(ctx, prepare(&serialSink), 1);
+  serialSink.flush();
+  for (const int workers : {2, 3, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::ostringstream trace;
+    obs::JsonlTraceSink sink(trace);
+    const RunResult pipelined =
+        detail::runSimWorkers(ctx, prepare(&sink), workers);
+    sink.flush();
+    expectSameRun(serial, pipelined);
+    EXPECT_EQ(deterministicTrace(serialTrace.str()),
+              deterministicTrace(trace.str()));
+  }
+  if (serialOut != nullptr) *serialOut = serial;
+}
+
+TEST(RuntimePipeline, DistSimShapeMatchesSerialAtAnyWorkerCount) {
+  // The dist-sim benchmark's shape: 8 peers, uniform n=3000, modeled cost,
+  // a quarter of a virtual second per node.
+  const auto inst =
+      std::make_shared<const Instance>(uniformSquare("dist-sim", 3000, 11));
+  const auto ctx = InstanceContext::build(inst);
+  RunResult serial;
+  expectWorkerCountInvariant(
+      *ctx,
+      [&](obs::TraceSink*) {
+        RunConfig cfg;
+        cfg.node = scaledNodeParams(*inst);
+        cfg.costModel = CostModel::kModeled;
+        cfg.timeLimitPerNode = 0.25;
+        cfg.seed = 5;
+        return cfg;
+      },
+      &serial);
+  EXPECT_GT(serial.totalSteps, 8);
+}
+
+TEST(RuntimePipeline, TracedChurnFixtureMatchesSerialAtAnyWorkerCount) {
+  const Instance inst = uniformSquare("parity", 120, 42);
+  const CandidateLists cand(inst, 8);
+  RunResult serial;
+  expectWorkerCountInvariant(
+      *InstanceContext::borrow(inst, cand),
+      [](obs::TraceSink* sink) {
+        RunConfig cfg = parityConfig();
+        cfg.joins = {{5, 0.4}};
+        cfg.failures = {{2, 0.5}};
+        cfg.trace = sink;
+        cfg.metricsIntervalSeconds = 0.5;
+        cfg.stallSeconds = 1.0;
+        return cfg;
+      },
+      &serial);
+  int stalls = 0;
+  for (const auto& e : serial.events)
+    if (e.type == NodeEventType::kStall) ++stalls;
+  EXPECT_GT(stalls, 0);
+}
+
+TEST(RuntimePipeline, HeterogeneousSpeedsMatchSerialAtAnyWorkerCount) {
+  const Instance inst = uniformSquare("parity", 120, 42);
+  const CandidateLists cand(inst, 8);
+  expectWorkerCountInvariant(
+      *InstanceContext::borrow(inst, cand), [](obs::TraceSink* sink) {
+        RunConfig cfg = parityConfig();
+        cfg.timeLimitPerNode = 3.0;
+        cfg.nodeSpeeds = {1.0, 0.5, 2.0, 1.0, 0.75, 1.5, 1.0, 0.25};
+        cfg.trace = sink;
+        return cfg;
+      });
+}
+
+TEST(RuntimePipeline, TargetAtInitialTickMatchesSerialAtAnyWorkerCount) {
+  const Instance inst = uniformSquare("parity", 120, 42);
+  const CandidateLists cand(inst, 8);
+  const auto ctx = InstanceContext::borrow(inst, cand);
+  const RunResult probe = detail::runSimWorkers(*ctx, parityConfig(), 1);
+  // Node 0's initial tour: all clocks start at 0, so node 0 commits first
+  // and reaches it while the other nodes' initial phases are in flight.
+  // Those must leave no trace; their nodeBest stays the unoptimized start
+  // tour.
+  std::int64_t target = -1;
+  for (const auto& e : probe.events)
+    if (e.type == NodeEventType::kInitialTour && e.node == 0) target = e.value;
+  ASSERT_GT(target, 0);
+  RunResult serial;
+  expectWorkerCountInvariant(
+      *ctx,
+      [&](obs::TraceSink* sink) {
+        RunConfig cfg = parityConfig();
+        cfg.node.targetLength = target;
+        cfg.trace = sink;
+        return cfg;
+      },
+      &serial);
+  EXPECT_TRUE(serial.hitTarget);
+  EXPECT_EQ(serial.totalSteps, 1);
+}
+
+TEST(RuntimePipeline, TargetMidRunMatchesSerialAtAnyWorkerCount) {
+  const Instance inst = uniformSquare("parity", 120, 42);
+  const CandidateLists cand(inst, 8);
+  RunResult serial;
+  expectWorkerCountInvariant(
+      *InstanceContext::borrow(inst, cand),
+      [](obs::TraceSink* sink) {
+        RunConfig cfg = parityConfig();
+        cfg.node.targetLength = 8126701;  // the fixture's final best
+        cfg.trace = sink;
+        return cfg;
+      },
+      &serial);
+  EXPECT_TRUE(serial.hitTarget);
+  EXPECT_GT(serial.totalSteps, 8);
+  EXPECT_LT(serial.totalSteps, 351);
+}
+
+TEST(RuntimePipeline, CancelFromOnBestMatchesSerialAtAnyWorkerCount) {
+  const Instance inst = uniformSquare("parity", 120, 42);
+  const CandidateLists cand(inst, 8);
+  // Fresh flag and counter per run; the run stops at the scheduling
+  // boundary after its second global best (the fixture's last, mid-run).
+  std::atomic<bool> cancel{false};
+  int bests = 0;
+  RunResult serial;
+  expectWorkerCountInvariant(
+      *InstanceContext::borrow(inst, cand),
+      [&](obs::TraceSink* sink) {
+        cancel.store(false);
+        bests = 0;
+        RunConfig cfg = parityConfig();
+        cfg.cancel = &cancel;
+        cfg.onBest = [&](double, std::int64_t) {
+          if (++bests == 2) cancel.store(true);
+        };
+        cfg.trace = sink;
+        return cfg;
+      },
+      &serial);
+  EXPECT_EQ(serial.curve.size(), 2u);
+  EXPECT_GT(serial.totalSteps, 8);
+  EXPECT_LT(serial.totalSteps, 351);
+}
+
+TEST(RuntimePipeline, MeasuredRunChargesPhasesThatNeverOverlap) {
+  // Under CostModel::kMeasured a phase's charge is its own wall time, so
+  // runDistributed runs one phase at a time: the summed charges (the node
+  // clocks) fit inside the run's wall time. Phases run at once on several
+  // cores would charge more than the wall time that passed.
+  const Instance inst = uniformSquare("measured", 400, 7);
+  const CandidateLists cand(inst, 8);
+  RunConfig cfg;
+  cfg.nodes = 8;
+  cfg.costModel = CostModel::kMeasured;
+  cfg.node.clkKicksPerCall = 50;
+  cfg.timeLimitPerNode = 0.05;
+  cfg.seed = 11;
+  const Timer wall;
+  const RunResult res = runDistributed(inst, cand, cfg);
+  const double elapsed = wall.seconds();
+  double charged = 0.0;
+  for (const double clock : res.nodeClocks) {
+    EXPECT_GE(clock, cfg.timeLimitPerNode);  // every node spent its budget
+    charged += clock;
+  }
+  EXPECT_LE(charged, elapsed);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "core/thread_driver.h"
+#include "core/runtime.h"
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,9 @@
 namespace distclk {
 namespace {
 
-ThreadRunOptions testOptions() {
-  ThreadRunOptions o;
+RunConfig testOptions() {
+  RunConfig o;
+  o.runtime = RuntimeKind::kThreads;
   o.nodes = 2;
   o.timeLimitPerNode = 0.3;
   o.node.clkKicksPerCall = 3;
@@ -19,7 +20,7 @@ ThreadRunOptions testOptions() {
 TEST(ThreadDriver, CompletesAndProducesValidTour) {
   const Instance inst = uniformSquare("t", 80, 131);
   const CandidateLists cand(inst, 8);
-  const ThreadRunResult res = runThreadedDistClk(inst, cand, testOptions());
+  const RunResult res = runDistributed(inst, cand, testOptions());
   Tour best(inst, res.bestOrder);
   EXPECT_EQ(best.length(), res.bestLength);
   EXPECT_EQ(res.nodeBest.size(), 2u);
@@ -31,11 +32,11 @@ TEST(ThreadDriver, HitsEasyTarget) {
   const Instance inst = uniformSquare("t", 60, 132);
   const CandidateLists cand(inst, 8);
   // Probe once for an achievable value.
-  const ThreadRunResult probe = runThreadedDistClk(inst, cand, testOptions());
-  ThreadRunOptions o = testOptions();
+  const RunResult probe = runDistributed(inst, cand, testOptions());
+  RunConfig o = testOptions();
   o.timeLimitPerNode = 30.0;  // termination should come from the target
   o.node.targetLength = probe.bestLength;
-  const ThreadRunResult res = runThreadedDistClk(inst, cand, o);
+  const RunResult res = runDistributed(inst, cand, o);
   EXPECT_TRUE(res.hitTarget);
   EXPECT_LE(res.bestLength, probe.bestLength);
 }
@@ -43,9 +44,9 @@ TEST(ThreadDriver, HitsEasyTarget) {
 TEST(ThreadDriver, EightNodeHypercubeRuns) {
   const Instance inst = uniformSquare("t", 60, 133);
   const CandidateLists cand(inst, 8);
-  ThreadRunOptions o = testOptions();
+  RunConfig o = testOptions();
   o.nodes = 8;
-  const ThreadRunResult res = runThreadedDistClk(inst, cand, o);
+  const RunResult res = runDistributed(inst, cand, o);
   EXPECT_EQ(res.nodeBest.size(), 8u);
   Tour best(inst, res.bestOrder);
   EXPECT_TRUE(best.valid());
@@ -54,9 +55,9 @@ TEST(ThreadDriver, EightNodeHypercubeRuns) {
 TEST(ThreadDriver, RecordsPerNodeCurvesAndEvents) {
   const Instance inst = uniformSquare("t", 100, 135);
   const CandidateLists cand(inst, 8);
-  ThreadRunOptions o = testOptions();
+  RunConfig o = testOptions();
   o.nodes = 3;
-  const ThreadRunResult res = runThreadedDistClk(inst, cand, o);
+  const RunResult res = runDistributed(inst, cand, o);
   ASSERT_EQ(res.nodeCurves.size(), 3u);
   for (const auto& curve : res.nodeCurves) {
     ASSERT_FALSE(curve.empty());  // at least the initial tour is recorded
@@ -85,9 +86,9 @@ TEST(ThreadDriver, RecordsPerNodeCurvesAndEvents) {
 TEST(ThreadDriver, RejectsBadNodeCount) {
   const Instance inst = uniformSquare("t", 30, 134);
   const CandidateLists cand(inst, 8);
-  ThreadRunOptions o = testOptions();
+  RunConfig o = testOptions();
   o.nodes = 0;
-  EXPECT_THROW(runThreadedDistClk(inst, cand, o), std::invalid_argument);
+  EXPECT_THROW(runDistributed(inst, cand, o), std::invalid_argument);
 }
 
 }  // namespace

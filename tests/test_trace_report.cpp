@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "core/runtime.h"
@@ -157,6 +158,44 @@ TEST_P(ChurnTraces, ConvergenceTimesTightenMonotonically) {
     for (std::size_t i = 1; i < times.size(); ++i)
       EXPECT_LE(times[i - 1], times[i]);
   }
+}
+
+TEST_P(ChurnTraces, LkWorkCoversInitialAndEaPhases) {
+  const obs::LoadedTrace trace = load(capturedChurnTrace(GetParam()));
+  const std::optional<obs::LkWork> work = obs::lkWork(trace);
+  ASSERT_TRUE(work.has_value());
+  const obs::JsonValue* metrics = trace.lastMetrics->find("metrics");
+  const obs::JsonValue* counters = metrics->find("counters");
+  const obs::JsonValue* hists = metrics->find("histograms");
+  EXPECT_GT(counters->num("node.initial_lk_flips"), 0.0);
+  EXPECT_EQ(work->appliedFlips, counters->num("node.lk_flips") +
+                                    counters->num("node.initial_lk_flips"));
+  EXPECT_EQ(work->rewoundFlips,
+            counters->num("node.lk_undone_flips") +
+                counters->num("node.initial_lk_undone_flips"));
+  EXPECT_DOUBLE_EQ(work->computeSeconds,
+                   hists->find("node.compute_seconds")->num("sum") +
+                       hists->find("node.initial_seconds")->num("sum"));
+}
+
+TEST(TraceReport, LkWorkCountsARunOfInitialStepsOnly) {
+  // A budget that ends right after the initial step: no EA step runs, yet
+  // the initial CLK calls did the work that their seconds measure.
+  const Instance inst = uniformSquare("report-test", 120, 42);
+  const CandidateLists cand(inst, 8);
+  RunConfig cfg;
+  cfg.nodes = 2;
+  cfg.costModel = CostModel::kModeled;
+  cfg.timeLimitPerNode = 1e-9;
+  std::ostringstream out;
+  obs::JsonlTraceSink sink(out);
+  cfg.trace = &sink;
+  const RunResult res = runDistributed(inst, cand, cfg);
+  ASSERT_EQ(res.totalSteps, cfg.nodes);
+  const std::optional<obs::LkWork> work = obs::lkWork(load(out.str()));
+  ASSERT_TRUE(work.has_value());
+  EXPECT_GT(work->appliedFlips, 0.0);
+  EXPECT_GT(work->computeSeconds, 0.0);
 }
 
 TEST(TraceReport, GarbledLinesAreCountedAndFailValidation) {

@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
     if (wanted.empty() && spec.n > maxN) continue;
     const Instance inst = makeInstance(spec);
     const CandidateLists cand(inst, 10);
-    SimOptions opt;
+    RunConfig opt;
     opt.nodes = nodes;
     opt.topology = TopologyKind::kComplete;  // fastest spread for calibration
     opt.timeLimitPerNode = seconds;
     opt.seed = 424243;
-    const SimResult res = runSimulatedDistClk(inst, cand, opt);
+    const RunResult res = runDistributed(inst, cand, opt);
     std::printf("%-12s n=%-6d presumedOptimum <= %lld  (steps=%lld)\n",
                 spec.standinName.c_str(), spec.n,
                 static_cast<long long>(res.bestLength),

@@ -36,6 +36,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -245,26 +246,18 @@ void printSummary(const obs::LoadedTrace& trace,
         hists.print(std::cout);
       }
       // LK throughput, from the applied/rewound flip split: search steps
-      // per second of summed compute time across all nodes.
-      if (const obs::JsonValue* c = metrics->find("counters")) {
-        if (const obs::JsonValue* flips = c->find("node.lk_flips")) {
-          const obs::JsonValue* undone = c->find("node.lk_undone_flips");
-          const double applied = flips->number;
-          const double rewound = undone != nullptr ? undone->number : 0.0;
-          const double steps = applied + rewound;
-          double computeSum = 0.0;
-          if (const obs::JsonValue* h = metrics->find("histograms"))
-            if (const obs::JsonValue* cs = h->find("node.compute_seconds"))
-              computeSum = cs->num("sum");
-          std::printf("\nLK work  : %.0f applied + %.0f rewound flips",
-                      applied, rewound);
-          if (steps > 0)
-            std::printf(" (%.1f%% applied)", 100.0 * applied / steps);
-          if (computeSum > 0)
-            std::printf(", %.3g steps/s over %.3fs compute",
-                        steps / computeSum, computeSum);
-          std::printf("\n");
-        }
+      // per second of summed compute time (EA steps and initial steps)
+      // across all nodes.
+      if (const std::optional<obs::LkWork> work = obs::lkWork(trace)) {
+        const double steps = work->appliedFlips + work->rewoundFlips;
+        std::printf("\nLK work  : %.0f applied + %.0f rewound flips",
+                    work->appliedFlips, work->rewoundFlips);
+        if (steps > 0)
+          std::printf(" (%.1f%% applied)", 100.0 * work->appliedFlips / steps);
+        if (work->computeSeconds > 0)
+          std::printf(", %.3g steps/s over %.3fs compute",
+                      steps / work->computeSeconds, work->computeSeconds);
+        std::printf("\n");
       }
     }
   }
